@@ -15,7 +15,7 @@ race:
 
 # stress hammers the parallel-engine determinism tests under the race
 # detector with repeated runs on a deterministic seed subset: the pool and
-# two-phase dispatcher edge cases, and the worker-count invariance crossing
+# engine edge cases, and the worker-count invariance crossing
 # with recovering-fault and corruption plans. Goroutine schedules differ on
 # every -count repetition, so 20 repetitions explore 20 interleavings of
 # the same virtual-time schedule.
@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/compiler -run '^$$' -fuzz '^FuzzParseDirective$$' -fuzztime 5s
 	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 5s
 	$(GO) test ./internal/bytecode -run '^$$' -fuzz '^FuzzBytecodeRoundTrip$$' -fuzztime 5s
+	$(GO) test ./internal/bytecode -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s
 	$(GO) test ./internal/seqfile -run '^$$' -fuzz '^FuzzSeqfileReader$$' -fuzztime 5s
 
 # cover enforces statement-coverage floors on the correctness-critical

@@ -1,15 +1,15 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
+	"repro/internal/bytecode"
 	"repro/internal/compiler"
-	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/minic"
+	"repro/internal/streaming"
 	"repro/internal/workload"
 )
 
@@ -121,8 +121,8 @@ func runOptCost(w io.Writer) error {
 }
 
 // interpCost parses src fresh (optimization mutates the AST in place),
-// optimizes with the given pass mask, runs it over input on the
-// interpreter backend, and returns the counted op cost.
+// optimizes with the given pass mask, runs it over input on the VM, and
+// returns the counted op cost.
 func interpCost(name, src string, mask ir.Pass, input []byte) (int64, error) {
 	prog, err := minic.ParseAndCheckFile(name, src)
 	if err != nil {
@@ -131,14 +131,14 @@ func interpCost(name, src string, mask ir.Pass, input []byte) (int64, error) {
 	if mask != 0 {
 		ir.OptimizeSelected(prog, mask)
 	}
-	cost := &interp.CountingSink{}
-	m := interp.New(prog, interp.Options{
-		Stdin:  bytes.NewReader(input),
-		Stdout: io.Discard,
-		Cost:   cost,
-	})
-	if _, err := m.Run(); err != nil {
-		return 0, fmt.Errorf("%s: %w", name, err)
+	code, err := bytecode.Compile(prog)
+	if err != nil {
+		return 0, err
+	}
+	f := &streaming.Filter{Name: name, Prog: prog, Code: code}
+	_, cost, err := f.Run(input)
+	if err != nil {
+		return 0, err
 	}
 	return cost.Ops, nil
 }

@@ -22,10 +22,6 @@ func Disassemble(p *Program) string {
 
 func disasmFn(b *strings.Builder, p *Program, fn *Fn) {
 	fmt.Fprintf(b, "fn %s (regs=%d slots=%d params=%d)\n", fn.Name, fn.NumRegs, fn.NumObjSlots, len(fn.Params))
-	if fn.Fallback {
-		fmt.Fprintf(b, "  fallback: %s\n", fn.Why)
-		return
-	}
 	for _, prm := range fn.Params {
 		if prm.Reg >= 0 {
 			fmt.Fprintf(b, "  param %s -> r%d\n", prm.Sym.Name, prm.Reg)
@@ -40,7 +36,7 @@ func disasmFn(b *strings.Builder, p *Program, fn *Fn) {
 
 func operandString(p *Program, in Instr) string {
 	switch in.Op {
-	case OpNop, OpRetZ:
+	case OpNop, OpRetZ, OpHalt:
 		return ""
 	case OpCharge:
 		return fmt.Sprintf("ops=%d steps=%d", in.A, in.B)

@@ -7,10 +7,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/ir"
 	"repro/internal/minic"
+	"repro/internal/workload"
 )
 
 // fuzzBounds are deliberately small pool sizes so the fuzzer exercises
@@ -38,7 +41,10 @@ int main() {
 	if err != nil {
 		tb.Fatalf("parse: %v", err)
 	}
-	p := bytecode.Compile(prog)
+	p, err := bytecode.Compile(prog)
+	if err != nil {
+		tb.Fatalf("compile: %v", err)
+	}
 	return p.Fns[p.Main].Code
 }
 
@@ -82,6 +88,52 @@ func FuzzBytecodeRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(code, code2) {
 			t.Fatalf("round trip changed instructions\nfirst:  %+v\nsecond: %+v", code, code2)
+		}
+	})
+}
+
+// FuzzCompile drives MiniC source through the whole lowering pipeline —
+// parse and check, optimize, compile, verify. It must never panic:
+// lowering is total, so a construct the compiler cannot lower comes back
+// as an error, and whatever it does emit must pass the verifier. Seeds are
+// the eight benchmarks' stage programs plus the minic parser corpus.
+func FuzzCompile(f *testing.F) {
+	for _, b := range workload.All() {
+		for _, src := range []string{b.Job.MapSrc, b.Job.CombineSrc, b.Job.ReduceSrc} {
+			if src != "" {
+				f.Add(src)
+			}
+		}
+	}
+	corpus, err := filepath.Glob(filepath.Join("..", "minic", "testdata", "fuzz", "FuzzParser", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range corpus {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// Corpus files are "go test fuzz v1\nstring(<quoted source>)\n".
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(data)), "\nstring(")
+		src, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			f.Fatalf("%s: %v", path, err)
+		}
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := minic.ParseAndCheck(src)
+		if err != nil {
+			return
+		}
+		ir.OptimizeProgram(prog)
+		p, err := bytecode.Compile(prog)
+		if err != nil {
+			return
+		}
+		if err := bytecode.Verify(p); err != nil {
+			t.Fatalf("verifier rejected compiler output: %v\nsource:\n%s", err, src)
 		}
 	})
 }

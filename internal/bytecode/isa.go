@@ -7,7 +7,7 @@
 // totals (ops/loads/stores per memory space), statement step counts, and
 // error strings all match, because goldens for simulated time and
 // deterministic GPU scheduling were recorded against the walker. The
-// walker remains available (-novm) as the differential oracle.
+// walker stays in package interp only as the test oracle.
 //
 // Everything stateful — object memory, globals, string literals, the
 // builtin table, cost charging, the step budget — stays in an
@@ -54,6 +54,8 @@ type Op uint8
 //	stdio   A=dst B=str#       stdin/stdout/stderr handle
 //	arg     A=src              push call argument
 //	call    A=dst B=callee# C=argc
+//	halt    -                  stop the run at a launch point (capture
+//	                           programs: see CompileCapture)
 //
 // An objref encodes where an object lives: ref >= 0 is a program-global
 // symbol index resolved once per VM; ref < 0 is frame object slot
@@ -116,6 +118,7 @@ const (
 	OpStdio
 	OpArg
 	OpCall
+	OpHalt
 	opCount
 )
 
@@ -176,6 +179,7 @@ var opNames = [opCount]string{
 	OpStdio:  "stdio",
 	OpArg:    "arg",
 	OpCall:   "call",
+	OpHalt:   "halt",
 }
 
 // Name returns the opcode mnemonic.
@@ -225,8 +229,7 @@ type FreeRef struct {
 	Slot int32
 }
 
-// Fn is one compiled function. A Fallback fn has no code; calls route to
-// the tree-walker via Decl.
+// Fn is one compiled function.
 type Fn struct {
 	Name        string
 	Decl        *minic.FuncDecl
@@ -237,10 +240,9 @@ type Fn struct {
 	Code        []Instr
 	// Pos parallels Code; the source position for trap error messages
 	// (zero when the instruction cannot trap).
-	Pos      []minic.Pos
-	Fallback bool
-	// Why records the decline reason for a Fallback fn (diagnostics only).
-	Why string
+	Pos []minic.Pos
+	// Slots names the symbol each frame object slot holds.
+	Slots []*minic.Symbol
 }
 
 // Program is a compiled translation unit (or a single kernel fragment)
@@ -256,10 +258,21 @@ type Program struct {
 	Fns     []*Fn
 	// Main indexes Fns, -1 when the program has no main.
 	Main int
-	// Fragment marks a kernel-fragment program: one fn, no params, free
-	// symbols resolved through Free.
+	// Fragment marks a kernel-fragment program: Fns[0] is the fragment
+	// (no params, free symbols resolved through Free) and the other fns
+	// are its transitive user-function callees.
 	Fragment bool
 	Free     []FreeRef
+}
+
+// fnFor returns the index of decl's compiled function, or -1.
+func (p *Program) fnFor(decl *minic.FuncDecl) int32 {
+	for i, f := range p.Fns {
+		if f.Decl == decl {
+			return int32(i)
+		}
+	}
+	return -1
 }
 
 // Fn returns the compiled function with the given name, or nil.

@@ -35,7 +35,10 @@ func runVM(t *testing.T, src, stdin string, maxSteps int64) (out string, code in
 	if perr != nil {
 		t.Fatalf("parse: %v", perr)
 	}
-	prog = Compile(mp)
+	prog, cerr := Compile(mp)
+	if cerr != nil {
+		t.Fatalf("compile: %v", cerr)
+	}
 	var buf bytes.Buffer
 	m := interp.New(mp, interp.Options{
 		Stdin:    strings.NewReader(stdin),
@@ -49,25 +52,17 @@ func runVM(t *testing.T, src, stdin string, maxSteps int64) (out string, code in
 }
 
 // checkParity asserts byte-identical output, exit status, error text, and
-// exact cost/step totals between walker and VM, and that no function fell
-// back to the tree-walker.
+// exact cost/step totals between walker and VM.
 func checkParity(t *testing.T, src string) {
 	t.Helper()
-	checkParityIO(t, src, "", true)
+	checkParityIO(t, src, "")
 }
 
-func checkParityIO(t *testing.T, src, stdin string, wantCompiled bool) {
+func checkParityIO(t *testing.T, src, stdin string) {
 	t.Helper()
 	wOut, wCode, wErr, wSink, wSteps := runWalker(t, src, stdin, 0)
-	vOut, vCode, vErr, vSink, vSteps, prog := runVM(t, src, stdin, 0)
+	vOut, vCode, vErr, vSink, vSteps, _ := runVM(t, src, stdin, 0)
 
-	if wantCompiled {
-		for _, fn := range prog.Fns {
-			if fn.Fallback {
-				t.Errorf("function %s fell back to the walker: %s", fn.Name, fn.Why)
-			}
-		}
-	}
 	if wOut != vOut {
 		t.Fatalf("output mismatch:\nwalker: %q\nvm:     %q", wOut, vOut)
 	}
@@ -298,7 +293,7 @@ int main() {
 	}
 	printf("%d\n", total);
 	return 0;
-}`, "5\n10\n27\n", false)
+}`, "5\n10\n27\n")
 }
 
 func TestParityRuntimeErrors(t *testing.T) {
@@ -352,7 +347,7 @@ int main() {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkParityIO(t, tc.src, "", false)
+			checkParityIO(t, tc.src, "")
 		})
 	}
 }
@@ -418,7 +413,10 @@ int main() {
 			t.Fatal(err)
 		}
 		ir.OptimizeProgram(vp)
-		bc := Compile(vp)
+		bc, err := Compile(vp)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var vBuf bytes.Buffer
 		var vSink interp.CountingSink
 		vm2 := interp.New(vp, interp.Options{Stdout: &vBuf, Cost: &vSink})
@@ -437,9 +435,16 @@ int main() {
 }
 
 // TestFragmentParity compiles a loop body + condition as kernel fragments
-// and compares against ExecIn/EvalIn on the same machine state.
+// and compares against ExecIn/EvalIn on the same machine state: output,
+// the bound variables, cost totals, and steps. A body that calls user
+// helpers must carry their compiled code (transitively) in the fragment.
 func TestFragmentParity(t *testing.T) {
-	src := `
+	cases := []struct {
+		name    string
+		src     string
+		callees []string
+	}{
+		{"inline", `
 int main() {
 	int i;
 	int n;
@@ -449,7 +454,33 @@ int main() {
 		i = i + 1;
 	}
 	return 0;
-}`
+}`, nil},
+		{"helper-call", `
+int scale = 3;
+int square(int x) { return x * x * scale; }
+int addsq(int a, int b) {
+	printf("%d\n", a);
+	return a + square(b);
+}
+int main() {
+	int i;
+	int n;
+	int sum;
+	while (i < n) {
+		sum = addsq(sum, i);
+		i = i + 1;
+	}
+	return 0;
+}`, []string{"addsq", "square"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkFragmentParity(t, tc.src, tc.callees)
+		})
+	}
+}
+
+func checkFragmentParity(t *testing.T, src string, callees []string) {
 	prog, err := minic.ParseAndCheck(src)
 	if err != nil {
 		t.Fatal(err)
@@ -464,15 +495,30 @@ int main() {
 		t.Fatal("no while loop found")
 	}
 
-	condProg := CompileFragmentExpr(loop.Cond)
-	bodyProg := CompileFragmentStmt(loop.Body)
-	if condProg == nil || bodyProg == nil {
-		t.Fatalf("fragment compile declined: cond=%v body=%v", condProg != nil, bodyProg != nil)
+	condProg, err := CompileFragmentExpr(prog, loop.Cond)
+	if err != nil {
+		t.Fatalf("cond fragment: %v", err)
+	}
+	bodyProg, err := CompileFragmentStmt(prog, loop.Body)
+	if err != nil {
+		t.Fatalf("body fragment: %v", err)
+	}
+	for _, name := range callees {
+		if bodyProg.Fn(name) == nil {
+			t.Errorf("body fragment lacks callee %s:\n%s", name, Disassemble(bodyProg))
+		}
 	}
 
-	run := func(useVM bool) (int64, interp.CountingSink, int64) {
+	type result struct {
+		out   string
+		sum   int64
+		sink  interp.CountingSink
+		steps int64
+	}
+	run := func(useVM bool) result {
 		var sink interp.CountingSink
-		m := interp.New(prog, interp.Options{Cost: &sink})
+		var out bytes.Buffer
+		m := interp.New(prog, interp.Options{Cost: &sink, Stdout: &out})
 		fr := m.NewFrame()
 		intT := loop.Cond.(*minic.Binary).L.Type()
 		bind := func(name string, v int64) *interp.Object {
@@ -492,11 +538,17 @@ int main() {
 		sumObj := bind("sum", 0)
 
 		if useVM {
-			cond, err := NewFragmentVM(m, condProg, fr.Object)
+			lookup := func(sym *minic.Symbol) *interp.Object {
+				if obj := fr.Object(sym); obj != nil {
+					return obj
+				}
+				return m.GlobalObject(sym)
+			}
+			cond, err := NewFragmentVM(m, condProg, lookup)
 			if err != nil {
 				t.Fatalf("cond fragment: %v", err)
 			}
-			body, err := NewFragmentVM(m, bodyProg, fr.Object)
+			body, err := NewFragmentVM(m, bodyProg, lookup)
 			if err != nil {
 				t.Fatalf("body fragment: %v", err)
 			}
@@ -526,19 +578,86 @@ int main() {
 				}
 			}
 		}
-		return sumObj.Cells[0].AsInt(), sink, m.Steps()
+		return result{out.String(), sumObj.Cells[0].AsInt(), sink, m.Steps()}
 	}
 
-	wSum, wSink, wSteps := run(false)
-	vSum, vSink, vSteps := run(true)
-	if wSum != vSum {
-		t.Fatalf("sum mismatch: walker %d, vm %d", wSum, vSum)
+	w, v := run(false), run(true)
+	if w.out != v.out {
+		t.Fatalf("output mismatch:\nwalker: %q\nvm:     %q", w.out, v.out)
 	}
-	if wSink != vSink {
-		t.Fatalf("cost mismatch:\nwalker: %+v\nvm:     %+v", wSink, vSink)
+	if w.sum != v.sum {
+		t.Fatalf("sum mismatch: walker %d, vm %d", w.sum, v.sum)
 	}
-	if wSteps != vSteps {
-		t.Fatalf("steps mismatch: walker %d, vm %d", wSteps, vSteps)
+	if w.sink != v.sink {
+		t.Fatalf("cost mismatch:\nwalker: %+v\nvm:     %+v", w.sink, v.sink)
+	}
+	if w.steps != v.steps {
+		t.Fatalf("steps mismatch: walker %d, vm %d", w.steps, v.steps)
+	}
+}
+
+// TestCaptureHaltsAtPragma runs capture builds to their mapreduce pragma:
+// a kept symbol holds its launch-point value in the halted frame and
+// nothing after the pragma runs; a run that exits first reports no halt.
+func TestCaptureHaltsAtPragma(t *testing.T) {
+	const tmpl = `
+int main() {
+	int k = 0;
+	int v = 7;
+	printf("before\n");
+	k = v * 6;
+	PREFIX
+	#pragma mapreduce mapper key(k) value(v)
+	while (k > 0) {
+		printf("region\n");
+		k = k - 1;
+	}
+	printf("after\n");
+	return 0;
+}`
+	for _, tc := range []struct {
+		name, prefix string
+		halts        bool
+	}{
+		{"halts", "", true},
+		{"exits-first", "exit(0);", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := minic.ParseAndCheck(strings.Replace(tmpl, "PREFIX", tc.prefix, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kSym *minic.Symbol
+			minicWalk(prog, func(id *minic.Ident) {
+				if id.Name == "k" {
+					kSym = id.Sym
+				}
+			})
+			code, err := CompileCapture(prog, func(sym *minic.Symbol) bool { return sym == kSym })
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			halt, err := NewVM(interp.New(prog, interp.Options{Stdout: &out}), code).RunToHalt()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != "before\n" {
+				t.Fatalf("output %q, want only the pre-region line", out.String())
+			}
+			if !tc.halts {
+				if halt != nil {
+					t.Fatal("run that exits before the pragma reported a halt")
+				}
+				return
+			}
+			if halt == nil {
+				t.Fatal("run never halted at the pragma")
+			}
+			if obj := halt.Object(kSym); obj == nil || obj.Cells[0].AsInt() != 42 {
+				t.Fatalf("captured k = %+v, want 42", obj)
+			}
+		})
 	}
 }
 

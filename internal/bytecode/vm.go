@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/interp"
@@ -16,8 +17,7 @@ type VM struct {
 	Prog *Program
 	m    *interp.Machine
 
-	// cost and col are refreshed from the machine on every entry: the GPU
-	// executor swaps the machine's cost sink per simulated thread.
+	// cost and col are the machine's sink and profiler.
 	cost interp.CostSink
 	col  *perf.Collector
 
@@ -32,6 +32,9 @@ type VM struct {
 	linked []linkedCallee
 	pools  [][]*vmFrame
 	args   []interp.Value
+
+	// halt is the frame state a capture program stopped in.
+	halt *Halt
 }
 
 // Conversion codes precomputed per symbol so OpStoreV's hot path skips
@@ -73,7 +76,6 @@ const (
 	ckUnresolved calleeKind = iota
 	ckBuiltin
 	ckFn
-	ckDecl
 	ckUnknown
 )
 
@@ -81,7 +83,6 @@ type linkedCallee struct {
 	kind  calleeKind
 	impl  interp.Builtin
 	fnIdx int32
-	decl  *minic.FuncDecl
 }
 
 type vmFrame struct {
@@ -95,6 +96,8 @@ func NewVM(m *interp.Machine, p *Program) *VM {
 	vm := &VM{
 		Prog:     p,
 		m:        m,
+		cost:     m.Cost(),
+		col:      m.Prof(),
 		linked:   make([]linkedCallee, len(p.Callees)),
 		pools:    make([][]*vmFrame, len(p.Fns)),
 		args:     make([]interp.Value, 0, 16),
@@ -115,14 +118,8 @@ func NewVM(m *interp.Machine, p *Program) *VM {
 	return vm
 }
 
-// refresh re-reads the machine's per-run mutable hooks.
-func (vm *VM) refresh() {
-	vm.cost = vm.m.Cost()
-	vm.col = vm.m.Prof()
-}
-
 // resolveGlobals binds global symbol indices to their storage. Must run
-// after InitGlobals; unresolved entries stay nil and trip the walker's
+// after InitGlobals; unresolved entries stay nil and trip the
 // "unresolved symbol" error on access.
 func (vm *VM) resolveGlobals() {
 	if vm.resolved {
@@ -137,18 +134,8 @@ func (vm *VM) resolveGlobals() {
 }
 
 // Run mirrors Machine.Run: init globals, execute main, unwrap exit().
-// Machines with a pragma hook (host job capture) and programs whose main
-// declined compilation route wholesale to the tree-walker.
 func (vm *VM) Run() (int, error) {
-	if vm.Prog.Main < 0 || vm.Prog.Fns[vm.Prog.Main].Fallback || vm.m.HasPragmaHook() {
-		return vm.m.Run()
-	}
-	if err := vm.m.InitGlobals(); err != nil {
-		return 0, err
-	}
-	vm.refresh()
-	vm.resolveGlobals()
-	v, _, err := vm.callFn(int32(vm.Prog.Main), nil)
+	v, err := vm.runMain()
 	if code, ok := interp.ExitStatus(err); ok {
 		return code, nil
 	}
@@ -158,28 +145,48 @@ func (vm *VM) Run() (int, error) {
 	return int(v.AsInt()), nil
 }
 
-// CallFunction mirrors Machine.CallFunction for compiled functions,
-// falling back to the walker for declined or unknown names.
-func (vm *VM) CallFunction(name string, args []interp.Value) (interp.Value, error) {
-	fnIdx := -1
-	for i, f := range vm.Prog.Fns {
-		if f.Name == name {
-			fnIdx = i
-			break
+// errHalt unwinds a run from a halt instruction.
+var errHalt = errors.New("bytecode: halted at a launch point")
+
+// Halt is the frame a capture program stopped in (see CompileCapture).
+type Halt struct {
+	fn   *Fn
+	objs []*interp.Object
+}
+
+// Object returns the storage bound to sym in the halted frame, or nil.
+func (h *Halt) Object(sym *minic.Symbol) *interp.Object {
+	for i, s := range h.fn.Slots {
+		if s == sym {
+			return h.objs[i]
 		}
 	}
-	if fnIdx < 0 || vm.Prog.Fns[fnIdx].Fallback || vm.m.HasPragmaHook() {
-		return vm.m.CallFunction(name, args)
+	return nil
+}
+
+// RunToHalt runs main until it executes a halt instruction and returns
+// the halted frame. It returns a nil Halt when main finishes (or calls
+// exit) first.
+func (vm *VM) RunToHalt() (*Halt, error) {
+	_, err := vm.runMain()
+	if errors.Is(err, errHalt) {
+		return vm.halt, nil
+	}
+	if _, ok := interp.ExitStatus(err); ok {
+		return nil, nil
+	}
+	return nil, err
+}
+
+func (vm *VM) runMain() (interp.Value, error) {
+	if vm.Prog.Main < 0 {
+		return interp.Value{}, errors.New("interp: program has no main function")
 	}
 	if err := vm.m.InitGlobals(); err != nil {
 		return interp.Value{}, err
 	}
-	vm.refresh()
 	vm.resolveGlobals()
-	v, _, err := vm.callFn(int32(fnIdx), args)
-	if code, ok := interp.ExitStatus(err); ok {
-		return interp.IntVal(int64(code)), nil
-	}
+	v, _, err := vm.callFn(int32(vm.Prog.Main), nil)
 	return v, err
 }
 
@@ -562,6 +569,12 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 
 		case OpArg:
 			vm.args = append(vm.args, regs[in.A])
+		case OpHalt:
+			if col != nil {
+				col.Exit()
+			}
+			vm.halt = &Halt{fn: fn, objs: append([]*interp.Object(nil), fr.objs...)}
+			return interp.Value{}, false, errHalt
 		case OpCall:
 			v, err := vm.call(in.B, int(in.C))
 			if err != nil {
@@ -789,9 +802,6 @@ func (vm *VM) call(calleeIdx int32, argc int) (interp.Value, error) {
 	case ckFn:
 		vm.cost.Op(4)
 		v, _, err = vm.callFn(lc.fnIdx, args)
-	case ckDecl:
-		vm.cost.Op(4)
-		v, err = vm.m.CallDecl(lc.decl, args)
 	default:
 		err = fmt.Errorf("interp: call of unknown function %q", vm.Prog.Callees[calleeIdx].Name)
 	}
@@ -811,13 +821,12 @@ func (vm *VM) resolve(calleeIdx int32) {
 		return
 	}
 	if decl := vm.m.Prog.Func(c.Name); decl != nil {
-		for i, f := range vm.Prog.Fns {
-			if f.Decl == decl && !f.Fallback {
-				lc.kind, lc.fnIdx = ckFn, int32(i)
-				return
-			}
+		// Compile and the fragment compilers include every function a
+		// program can reach, so a miss means p was not built from m.Prog.
+		lc.kind, lc.fnIdx = ckFn, vm.Prog.fnFor(decl)
+		if lc.fnIdx < 0 {
+			lc.kind = ckUnknown
 		}
-		lc.kind, lc.decl = ckDecl, decl
 		return
 	}
 	if hasBuiltin {
@@ -829,8 +838,8 @@ func (vm *VM) resolve(calleeIdx int32) {
 
 // FragmentVM executes one compiled kernel fragment (a loop condition, a
 // loop body, or a combine region) repeatedly against host-bound storage.
-// The GPU executor builds one per simulated thread context and swaps the
-// machine's cost sink before each entry.
+// The GPU executor builds one per simulated thread (or combine warp), on
+// that thread's machine.
 type FragmentVM struct {
 	vm *VM
 	fr *vmFrame
@@ -838,10 +847,9 @@ type FragmentVM struct {
 
 // NewFragmentVM binds a fragment program to a machine, resolving every
 // free symbol through lookup (typically the thread frame first, then the
-// machine's globals). A nil resolution fails the construction; callers
-// fall back to the tree-walker.
+// machine's globals). A nil resolution fails the construction.
 func NewFragmentVM(m *interp.Machine, p *Program, lookup func(*minic.Symbol) *interp.Object) (*FragmentVM, error) {
-	if p == nil || !p.Fragment || len(p.Fns) != 1 || p.Fns[0].Fallback {
+	if p == nil || !p.Fragment || len(p.Fns) == 0 {
 		return nil, fmt.Errorf("bytecode: not an executable fragment")
 	}
 	// EvalIn/ExecIn run global initializers on every entry (idempotent);
@@ -850,6 +858,7 @@ func NewFragmentVM(m *interp.Machine, p *Program, lookup func(*minic.Symbol) *in
 		return nil, err
 	}
 	vm := NewVM(m, p)
+	vm.resolveGlobals()
 	fn := p.Fns[0]
 	fr := &vmFrame{
 		regs: make([]interp.Value, fn.NumRegs),
@@ -869,6 +878,5 @@ func NewFragmentVM(m *interp.Machine, p *Program, lookup func(*minic.Symbol) *in
 // statement terminated it (ExecIn's contract); condition fragments return
 // the condition value.
 func (f *FragmentVM) Run() (interp.Value, bool, error) {
-	f.vm.refresh()
 	return f.vm.exec(f.vm.Prog.Fns[0], f.fr)
 }

@@ -122,13 +122,18 @@ type Compiled struct {
 	// compilation ran with Options.DisableOpt).
 	HostOpt   *ir.Stats
 	KernelOpt *ir.Stats
-	// VM is the host program lowered to register bytecode — the default
-	// execution core of the streaming path (nil with Options.DisableVM).
+	// VM is the host program lowered to register bytecode, executed by
+	// the streaming path.
 	VM *bytecode.Program
+	// Capture is the translated host program compiled for launch-point
+	// capture: the kernel plan's variables stay object-backed and the run
+	// halts at the mapreduce pragma, where the GPU driver reads them.
+	Capture *bytecode.Program
 	// KernelCond / KernelBody are the mapper region's loop condition and
 	// body as bytecode fragments for the GPU kernel executor; KernelRegion
-	// is the combiner region as one fragment. A nil fragment (unsupported
-	// construct, or DisableVM) sends that kernel to the tree-walker.
+	// is the combiner region as one fragment. Each carries the user
+	// functions it calls. A mapper fills the first two, a combiner the
+	// third.
 	KernelCond   *bytecode.Program
 	KernelBody   *bytecode.Program
 	KernelRegion *bytecode.Program
@@ -146,10 +151,6 @@ type Options struct {
 	// optimizes: both the host program and the kernel program run the
 	// analysis-driven passes before being handed to the backends.
 	DisableOpt bool
-	// DisableVM turns off the register-bytecode execution core (-novm):
-	// the backends fall back to the AST tree-walker. The zero value
-	// compiles bytecode.
-	DisableVM bool
 	// Prof, when non-nil, charges the host parse and the GPU translation
 	// to wall-clock phase buckets.
 	Prof *perf.Profiler
@@ -202,22 +203,41 @@ func CompileOpts(src string, opts Options) (*Compiled, error) {
 		endOpt()
 	}
 	// Lower to register bytecode after optimization (the compiler lowers
-	// whatever AST the backends will execute). Functions or fragments the
-	// bytecode compiler declines stay on the tree-walker per function.
-	if !opts.DisableVM {
-		endBC := opts.Prof.Phase(perf.PhaseBytecodeCompile)
-		c.VM = bytecode.Compile(host)
-		if spec.Kind == RegionMapper {
-			if loop, ok := spec.Region.(*minic.While); ok {
-				c.KernelCond = bytecode.CompileFragmentExpr(loop.Cond)
-				c.KernelBody = bytecode.CompileFragmentStmt(loop.Body)
-			}
-		} else {
-			c.KernelRegion = bytecode.CompileFragmentStmt(spec.Region)
-		}
-		endBC()
+	// whatever AST the backends will execute).
+	endBC := opts.Prof.Phase(perf.PhaseBytecodeCompile)
+	err = c.lower()
+	endBC()
+	if err != nil {
+		return nil, fmt.Errorf("compiler: %w", err)
 	}
 	return c, nil
+}
+
+// lower compiles the host program, the launch-point capture program, and
+// the kernel fragments to register bytecode.
+func (c *Compiled) lower() error {
+	spec := c.Kernel
+	var err error
+	if c.VM, err = bytecode.Compile(c.HostProg); err != nil {
+		return err
+	}
+	inPlan := func(sym *minic.Symbol) bool { _, ok := spec.Plan[sym]; return ok }
+	if c.Capture, err = bytecode.CompileCapture(spec.Prog, inPlan); err != nil {
+		return err
+	}
+	if spec.Kind != RegionMapper {
+		c.KernelRegion, err = bytecode.CompileFragmentStmt(spec.Prog, spec.Region)
+		return err
+	}
+	loop, ok := spec.Region.(*minic.While)
+	if !ok {
+		return fmt.Errorf("compiler: mapper region is not a while loop")
+	}
+	if c.KernelCond, err = bytecode.CompileFragmentExpr(spec.Prog, loop.Cond); err != nil {
+		return err
+	}
+	c.KernelBody, err = bytecode.CompileFragmentStmt(spec.Prog, loop.Body)
+	return err
 }
 
 // translateSource runs the GPU side of compilation: a private parse, region

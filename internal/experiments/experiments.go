@@ -39,9 +39,6 @@ type Config struct {
 	// TaskScale multiplies the paper's Table-2 map task counts (1.0 =
 	// exact counts; tests use smaller values for speed).
 	TaskScale float64
-	// DisableVM turns off the register-bytecode execution core for every
-	// sampled task (-novm); the zero value runs the VM.
-	DisableVM bool
 	// Obs, when non-nil, records every experiment job's spans and metrics.
 	Obs *obs.Recorder
 	// Prof, when non-nil, receives wall-clock phase and interpreter
@@ -130,9 +127,7 @@ func sampleBenchmark(b *workload.Benchmark, setup cluster.Setup, clusterIdx int,
 	opts gpurt.Options, cfg Config) (*TaskSample, error) {
 
 	cfg.fillDefaults()
-	job := b.JobFor(clusterIdx)
-	job.DisableVM = cfg.DisableVM
-	cj, err := mr.CompileJobProf(job, cfg.Prof)
+	cj, err := mr.CompileJobProf(b.JobFor(clusterIdx), cfg.Prof)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +143,7 @@ func sampleBenchmark(b *workload.Benchmark, setup cluster.Setup, clusterIdx int,
 
 		cpuRes, err := streaming.RunMapTask(cj.MapF, cj.CombineF, input, streaming.MapTaskConfig{
 			Schema:        cj.Schema,
-			NumReducers:   job.NumReducers,
+			NumReducers:   cj.Program.NumReducers,
 			CPU:           setup.CPU,
 			InputReadTime: readTime,
 			DiskWriteGBs:  setup.DiskWriteGBs,
@@ -163,7 +158,7 @@ func sampleBenchmark(b *workload.Benchmark, setup cluster.Setup, clusterIdx int,
 			gpuOpts.Prof = cfg.Prof
 		}
 		gpuRes, err := gpurt.RunTask(dev, cj.MapC, cj.CombineC, input, gpurt.TaskConfig{
-			NumReducers:   job.NumReducers,
+			NumReducers:   cj.Program.NumReducers,
 			Opts:          gpuOpts,
 			InputReadTime: readTime,
 			DiskWriteGBs:  setup.DiskWriteGBs,

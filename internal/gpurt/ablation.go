@@ -19,9 +19,8 @@ import (
 func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options,
-	blocks, tpb, kvBound int, loop *minic.While) (*MapKernelResult, error) {
+	blocks, tpb, kvBound int) (*MapKernelResult, error) {
 
-	spec := comp.Kernel
 	totalLanes := blocks * tpb
 	if totalLanes > len(records) {
 		totalLanes = len(records)
@@ -32,29 +31,10 @@ func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hos
 	defer col.Flush()
 	threads := make([]*mapThread, 0, totalLanes)
 	for lane := 0; lane < totalLanes; lane++ {
-		t := &mapThread{id: lane, pending: -1, cost: gpu.NewThreadCost(&dev.Config)}
-		priv, err := privateBindings(spec, cap, interp.SpaceLocal)
+		t, err := newMapThread(lane, dev, comp, cap, shared, ipObj, records, store, opts, col)
 		if err != nil {
 			return nil, err
 		}
-		t.machine = interp.New(spec.Prog, interp.Options{
-			Cost:         t.cost,
-			DefaultSpace: interp.SpaceLocal,
-			SpaceFor:     threadSpaceFor,
-			Prof:         col,
-			Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
-		})
-		t.frame = t.machine.NewFrame()
-		for sym, obj := range shared {
-			t.frame.Bind(sym, obj)
-		}
-		for sym, obj := range priv {
-			t.frame.Bind(sym, obj)
-		}
-		t.cond = loop.Cond
-		t.body = loop.Body
-		t.bindFragmentVMs(comp.KernelCond, comp.KernelBody)
-		t.cost.Op(24)
 		threads = append(threads, t)
 	}
 
@@ -93,7 +73,6 @@ func execMapKernelGlobalSteal(dev *gpu.Device, comp *compiler.Compiled, cap *hos
 		steals++
 		pick.pending = rec
 		pick.ran = true
-		pick.machine.SetCost(pick.cost)
 		v, err := pick.evalCond()
 		if err != nil {
 			return nil, err

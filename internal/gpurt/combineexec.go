@@ -203,37 +203,14 @@ func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 			"strlenGPU": strLenGPU(w.cost, opts.VectorCombine),
 		},
 	})
-	fr := m.NewFrame()
-	for sym, obj := range shared {
-		fr.Bind(sym, obj)
+	region, err := bytecode.NewFragmentVM(m, comp.KernelRegion, bindingLookup(m, priv, shared))
+	if err != nil {
+		return nil, 0, gpu.CycleBreakdown{}, err
 	}
-	for sym, obj := range priv {
-		fr.Bind(sym, obj)
-	}
-	if err := execCombineRegion(m, fr, comp, spec.Region); err != nil {
+	if _, _, err := region.Run(); err != nil {
 		return nil, 0, gpu.CycleBreakdown{}, err
 	}
 	return w.output, w.cost.Cycles, w.cost.Breakdown, nil
-}
-
-// execCombineRegion runs the combiner region on the bytecode VM when the
-// compiler produced a region fragment, falling back to the tree-walker
-// when it declined or the fragment's free symbols fail to bind.
-func execCombineRegion(m *interp.Machine, fr *interp.Frame, comp *compiler.Compiled, region minic.Stmt) error {
-	if comp.KernelRegion != nil {
-		lookup := func(sym *minic.Symbol) *interp.Object {
-			if obj := fr.Object(sym); obj != nil {
-				return obj
-			}
-			return m.GlobalObject(sym)
-		}
-		if vm, err := bytecode.NewFragmentVM(m, comp.KernelRegion, lookup); err == nil {
-			_, _, err := vm.Run()
-			return err
-		}
-	}
-	_, err := m.ExecIn(fr, region)
-	return err
 }
 
 // writeBack stores a typed KV value through a destination pointer (a char

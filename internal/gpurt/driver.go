@@ -162,7 +162,7 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 	prof := cfg.Opts.Prof
 	endHost := prof.Phase(perf.PhaseGPUHost)
 	hcol := prof.Collector(perf.PhaseGPUHost)
-	cap, err := captureHostCol(mapC, io.Discard, hcol)
+	cap, err := captureHost(mapC, io.Discard, hcol)
 	hcol.Flush()
 	endHost()
 	if err != nil {
@@ -242,7 +242,7 @@ func RunTask(dev *gpu.Device, mapC, combineC *compiler.Compiled, input []byte, c
 	if combineC != nil {
 		endCHost := prof.Phase(perf.PhaseGPUHost)
 		ccol := prof.Collector(perf.PhaseGPUHost)
-		ccap, err := captureHostCol(combineC, io.Discard, ccol)
+		ccap, err := captureHost(combineC, io.Discard, ccol)
 		ccol.Flush()
 		endCHost()
 		if err != nil {

@@ -56,45 +56,30 @@ func Baseline() Options { return Options{} }
 // hostCapture is the host-side state of a translated program at its kernel
 // launch point: the paper's generated host code reaches the region with
 // all firstprivate/sharedRO values computed; we capture them by running
-// main with the region intercepted.
+// the capture program until it halts at the region.
 type hostCapture struct {
 	machine *interp.Machine
-	frame   *interp.Frame
-	pragma  *minic.PragmaStmt
+	halt    *bytecode.Halt
 }
 
-// captureHost runs the translated program's main, intercepting the
-// mapreduce region, and returns the captured launch-point state.
-func captureHost(comp *compiler.Compiled, stdout io.Writer) (*hostCapture, error) {
-	return captureHostCol(comp, stdout, nil)
-}
-
-// captureHostCol is captureHost with an optional profiling collector for
-// the host program's interpretation.
-func captureHostCol(comp *compiler.Compiled, stdout io.Writer, col *perf.Collector) (*hostCapture, error) {
-	cap := &hostCapture{}
-	m := interp.New(comp.Kernel.Prog, interp.Options{
-		Stdout: stdout,
-		Prof:   col,
-		OnPragma: func(p *minic.PragmaStmt, fr *interp.Frame) (bool, error) {
-			cap.frame = fr
-			cap.pragma = p
-			return true, nil
-		},
-	})
-	cap.machine = m
-	if _, err := m.Run(); err != nil {
+// captureHost runs the translated program's capture build (see
+// compiler.Compiled.Capture) up to its mapreduce region and returns the
+// launch-point state. col optionally profiles the host program.
+func captureHost(comp *compiler.Compiled, stdout io.Writer, col *perf.Collector) (*hostCapture, error) {
+	m := interp.New(comp.Kernel.Prog, interp.Options{Stdout: stdout, Prof: col})
+	halt, err := bytecode.NewVM(m, comp.Capture).RunToHalt()
+	if err != nil {
 		return nil, fmt.Errorf("gpurt: host program failed: %w", err)
 	}
-	if cap.frame == nil {
+	if halt == nil {
 		return nil, fmt.Errorf("gpurt: host program never reached its mapreduce region")
 	}
-	return cap, nil
+	return &hostCapture{machine: m, halt: halt}, nil
 }
 
 // objectFor resolves a plan symbol to its host-side storage.
 func (h *hostCapture) objectFor(sym *minic.Symbol) (*interp.Object, error) {
-	if obj := h.frame.Object(sym); obj != nil {
+	if obj := h.halt.Object(sym); obj != nil {
 		return obj, nil
 	}
 	if obj := h.machine.GlobalObject(sym); obj != nil {
@@ -172,65 +157,71 @@ func threadSpaceFor(sym *minic.Symbol) interp.MemSpace {
 	return interp.SpaceReg
 }
 
+// bindingLookup resolves a kernel fragment's free symbols: the plan's
+// per-thread and shared bindings first, then the kernel program's globals.
+func bindingLookup(m *interp.Machine, binds ...map[*minic.Symbol]*interp.Object) func(*minic.Symbol) *interp.Object {
+	return func(sym *minic.Symbol) *interp.Object {
+		for _, b := range binds {
+			if obj := b[sym]; obj != nil {
+				return obj
+			}
+		}
+		return m.GlobalObject(sym)
+	}
+}
+
 // mapThread is one simulated GPU thread of the map kernel.
 type mapThread struct {
-	id      int // global thread id (block*threadsPerBlock + lane)
-	machine *interp.Machine
-	frame   *interp.Frame
-	cost    *gpu.ThreadCost
-	cond    minic.Expr
-	body    minic.Stmt
-	// condVM / bodyVM execute the region on the bytecode VM when the
-	// kernel fragments compiled; nil pairs fall back to the tree-walker.
-	condVM  *bytecode.FragmentVM
-	bodyVM  *bytecode.FragmentVM
+	id   int // global thread id (block*threadsPerBlock + lane)
+	cost *gpu.ThreadCost
+	// cond / body run the region's loop condition and body on the VM.
+	cond    *bytecode.FragmentVM
+	body    *bytecode.FragmentVM
 	pending int // granted record index, -1 = none
 	ran     bool
 }
 
-// evalCond evaluates the region loop condition on the thread's execution
-// core (VM or walker).
+// newMapThread builds one simulated map thread: its machine with the map
+// intrinsics, its private copies of the plan's variables, and the loop
+// fragments bound against them and the shared objects.
+func newMapThread(id int, dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
+	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
+	records []Record, store *KVStore, opts Options, col *perf.Collector) (*mapThread, error) {
+
+	spec := comp.Kernel
+	t := &mapThread{id: id, pending: -1, cost: gpu.NewThreadCost(&dev.Config)}
+	priv, err := privateBindings(spec, cap, interp.SpaceLocal)
+	if err != nil {
+		return nil, err
+	}
+	m := interp.New(spec.Prog, interp.Options{
+		Cost:         t.cost,
+		DefaultSpace: interp.SpaceLocal,
+		SpaceFor:     threadSpaceFor,
+		Prof:         col,
+		Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
+	})
+	lookup := bindingLookup(m, priv, shared)
+	if t.cond, err = bytecode.NewFragmentVM(m, comp.KernelCond, lookup); err != nil {
+		return nil, err
+	}
+	if t.body, err = bytecode.NewFragmentVM(m, comp.KernelBody, lookup); err != nil {
+		return nil, err
+	}
+	t.cost.Op(24) // mapSetup overhead
+	return t, nil
+}
+
+// evalCond evaluates the region loop condition.
 func (t *mapThread) evalCond() (interp.Value, error) {
-	if t.condVM != nil {
-		v, _, err := t.condVM.Run()
-		return v, err
-	}
-	return t.machine.EvalIn(t.frame, t.cond)
+	v, _, err := t.cond.Run()
+	return v, err
 }
 
-// execBody executes the region loop body on the thread's execution core.
+// execBody executes the region loop body.
 func (t *mapThread) execBody() error {
-	if t.bodyVM != nil {
-		_, _, err := t.bodyVM.Run()
-		return err
-	}
-	_, err := t.machine.ExecIn(t.frame, t.body)
+	_, _, err := t.body.Run()
 	return err
-}
-
-// bindFragmentVMs attaches compiled region fragments to the thread,
-// resolving free symbols against the thread frame first and the kernel
-// program's globals second. Both fragments must bind, or the thread stays
-// on the walker (mixing cores would skew the cost accounting).
-func (t *mapThread) bindFragmentVMs(cond, body *bytecode.Program) {
-	if cond == nil || body == nil {
-		return
-	}
-	lookup := func(sym *minic.Symbol) *interp.Object {
-		if obj := t.frame.Object(sym); obj != nil {
-			return obj
-		}
-		return t.machine.GlobalObject(sym)
-	}
-	condVM, err := bytecode.NewFragmentVM(t.machine, cond, lookup)
-	if err != nil {
-		return
-	}
-	bodyVM, err := bytecode.NewFragmentVM(t.machine, body, lookup)
-	if err != nil {
-		return
-	}
-	t.condVM, t.bodyVM = condVM, bodyVM
 }
 
 // MapKernelResult is the outcome of one map kernel launch.
@@ -262,10 +253,6 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	if spec.Kind != compiler.RegionMapper {
 		return nil, fmt.Errorf("gpurt: ExecMapKernel on a %v kernel", spec.Kind)
 	}
-	loop, ok := spec.Region.(*minic.While)
-	if !ok {
-		return nil, fmt.Errorf("gpurt: map region is not a while loop")
-	}
 	shared, err := sharedBindings(spec, cap, opts)
 	if err != nil {
 		return nil, err
@@ -287,7 +274,7 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	}
 
 	if opts.RecordStealing && opts.GlobalStealing {
-		return execMapKernelGlobalSteal(dev, comp, cap, shared, ipObj, records, store, opts, blocks, tpb, kvBound, loop)
+		return execMapKernelGlobalSteal(dev, comp, cap, shared, ipObj, records, store, opts, blocks, tpb, kvBound)
 	}
 
 	perBlock := (len(records) + blocks - 1) / blocks
@@ -309,7 +296,7 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 		wg.Add(1)
 		go func(b, lo, hi int) {
 			defer wg.Done()
-			cycles, bd, steals, err := runMapBlock(dev, comp, cap, shared, ipObj, records[lo:hi], store, opts, b, tpb, kvBound, loop)
+			cycles, bd, steals, err := runMapBlock(dev, comp, cap, shared, ipObj, records[lo:hi], store, opts, b, tpb, kvBound)
 			blockCycles[b] = cycles
 			blockSteals[b] = steals
 			blockBreakdowns[b] = bd
@@ -347,45 +334,16 @@ func ExecMapKernel(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 	shared map[*minic.Symbol]*interp.Object, ipObj *interp.Object,
 	records []Record, store *KVStore, opts Options,
-	block, tpb, kvBound int, loop *minic.While) (float64, gpu.CycleBreakdown, int64, error) {
+	block, tpb, kvBound int) (float64, gpu.CycleBreakdown, int64, error) {
 
-	spec := comp.Kernel
 	// One collector per block: this function runs on its own goroutine, and
 	// all the block's thread machines share it (they execute sequentially).
 	col := opts.Prof.Collector(perf.PhaseGPUMap)
 	defer col.Flush()
 	threads := make([]*mapThread, 0, tpb)
-	newThread := func(lane int) (*mapThread, error) {
-		t := &mapThread{id: block*tpb + lane, pending: -1, cost: gpu.NewThreadCost(&dev.Config)}
-		priv, err := privateBindings(spec, cap, interp.SpaceLocal)
-		if err != nil {
-			return nil, err
-		}
-		t.machine = interp.New(spec.Prog, interp.Options{
-			Cost:         t.cost,
-			DefaultSpace: interp.SpaceLocal,
-			SpaceFor:     threadSpaceFor,
-			Prof:         col,
-			Intrinsics:   mapIntrinsics(t, ipObj, records, store, comp.Schema, opts),
-		})
-		t.frame = t.machine.NewFrame()
-		for sym, obj := range shared {
-			t.frame.Bind(sym, obj)
-		}
-		for sym, obj := range priv {
-			t.frame.Bind(sym, obj)
-		}
-		t.cond = loop.Cond
-		t.body = loop.Body
-		t.bindFragmentVMs(comp.KernelCond, comp.KernelBody)
-		t.cost.Op(24) // mapSetup overhead
-		return t, nil
-	}
-
 	runIteration := func(t *mapThread, rec int) error {
 		t.pending = rec
 		t.ran = true
-		t.machine.SetCost(t.cost)
 		v, err := t.evalCond()
 		if err != nil {
 			return err
@@ -401,7 +359,7 @@ func runMapBlock(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 		lanes = len(records)
 	}
 	for lane := 0; lane < lanes; lane++ {
-		t, err := newThread(lane)
+		t, err := newMapThread(block*tpb+lane, dev, comp, cap, shared, ipObj, records, store, opts, col)
 		if err != nil {
 			return 0, gpu.CycleBreakdown{}, 0, err
 		}

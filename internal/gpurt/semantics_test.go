@@ -37,7 +37,7 @@ func TestCombinerRelaxedEquivalenceExample(t *testing.T) {
 	partitions := store.Aggregate()
 	store.SortPartition(partitions[0])
 
-	cap, err := captureHost(combC, nil)
+	cap, err := captureHost(combC, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestWarpChunkingSplitsKeyRuns(t *testing.T) {
 	}
 	partitions := store.Aggregate()
 	store.SortPartition(partitions[0])
-	cap, err := captureHost(combC, nil)
+	cap, err := captureHost(combC, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,9 @@ import (
 	"repro/internal/minic"
 )
 
-// Frame is an exported handle to one execution scope. The GPU executor
-// (package gpurt) builds a frame per simulated thread, binds the
-// translator's variable plan into it (shared read-only objects, per-thread
-// private copies), and then steps the kernel region inside it.
+// Frame is an exported handle to one execution scope. Tests bind a kernel
+// region's variables into a frame and step the region on the tree-walker
+// with EvalIn/ExecIn, the oracle for the bytecode VM's kernel fragments.
 type Frame struct {
 	f *frame
 }
@@ -47,17 +46,6 @@ func (m *Machine) ExecIn(fr *Frame, s minic.Stmt) (terminated bool, err error) {
 		return false, err
 	}
 	return c.kind == ctrlReturn, nil
-}
-
-// SetCost swaps the machine's cost sink, returning the previous one. The
-// GPU executor points the machine at the current thread's accumulator.
-func (m *Machine) SetCost(c CostSink) CostSink {
-	old := m.cost
-	if c == nil {
-		c = NopSink{}
-	}
-	m.cost = c
-	return old
 }
 
 // Cost returns the active cost sink (for intrinsics that charge custom

@@ -1,7 +1,10 @@
-// Package interp executes MiniC programs. It provides the CPU-side
-// execution of Hadoop Streaming map/combine/reduce filters and, re-hosted
-// with GPU intrinsics by package gpurt, the per-thread execution of
-// translated GPU kernels.
+// Package interp is the MiniC runtime: object memory, globals, the
+// builtin table, cost charging, and the step budget that the bytecode VM
+// (package bytecode) executes against, for CPU streaming filters and,
+// re-hosted with GPU intrinsics by package gpurt, translated GPU kernels.
+// It also holds the AST tree-walker (Machine.Run, EvalIn, ExecIn), which
+// production code does not call: it is the independent evaluator the
+// differential and parity tests check the VM against.
 //
 // The interpreter uses an addressable object memory model: every variable
 // is an Object of one or more cells, and pointers are (object, offset)
@@ -211,13 +214,8 @@ type Options struct {
 	SpaceFor func(sym *minic.Symbol) MemSpace
 	// MaxSteps bounds the number of statements executed (0 = default cap).
 	MaxSteps int64
-	// OnPragma, when non-nil, intercepts mapreduce pragma statements. The
-	// GPU driver uses it to capture host variable values at the kernel
-	// launch point and skip CPU execution of the region (handled=true).
-	OnPragma func(p *minic.PragmaStmt, fr *Frame) (handled bool, err error)
-	// Prof, when non-nil, receives wall-clock self-time buckets per AST
-	// node kind and per builtin. Nil (the default) costs one pointer check
-	// per statement/expression.
+	// Prof, when non-nil, receives wall-clock self-time buckets per
+	// builtin (and, through the bytecode VM, per opcode).
 	Prof *perf.Collector
 }
 
@@ -243,12 +241,7 @@ type Machine struct {
 
 	globals  map[*minic.Symbol]*Object
 	literals map[string]*Object
-	onPragma func(p *minic.PragmaStmt, fr *Frame) (bool, error)
 	prof     *perf.Collector
-	// profSkip is the latch the profiling wrappers use to re-enter the
-	// execStmt/eval dispatch bodies without recursing back into themselves;
-	// see execStmt.
-	profSkip bool
 
 	steps    int64
 	maxSteps int64
@@ -283,7 +276,6 @@ func New(prog *minic.Program, opts Options) *Machine {
 		spaceFor: opts.SpaceFor,
 		globals:  map[*minic.Symbol]*Object{},
 		literals: map[string]*Object{},
-		onPragma: opts.OnPragma,
 		prof:     opts.Prof,
 		maxSteps: opts.MaxSteps,
 	}
@@ -353,10 +345,6 @@ func (m *Machine) initGlobals() error {
 		return nil
 	}
 	m.globals[nil] = globalsDone
-	if m.prof != nil {
-		m.prof.Enter(perf.CatStmt, "GlobalInit")
-		defer m.prof.Exit()
-	}
 	f := &frame{vars: m.globals}
 	for _, g := range m.Prog.Globals {
 		if _, err := m.execDecl(f, g); err != nil {
@@ -403,23 +391,7 @@ func (m *Machine) execBlock(f *frame, b *minic.Block) (ctrl, error) {
 	return ctrl{}, nil
 }
 
-// execStmt carries the dispatch body itself so that with profiling off
-// (m.prof == nil, the default) the cost is one predictable branch — no
-// extra call frame, no defer. The obvious alternatives both fail the <2%
-// disabled-overhead budget on this hot path: a wrapper-function split
-// adds a real call (and a 56-byte result copy) per AST node (~8% on the
-// cluster benchmarks), and `defer m.prof.Exit()` cannot be open-coded
-// here (the body exceeds the compiler's NumReturns*NumDefers cap), so
-// every return would take the runtime's deferreturn/_panic walk (~25%).
-// When profiling is on, execStmtProfiled wraps exactly one re-entry of
-// this body via the profSkip latch.
 func (m *Machine) execStmt(f *frame, s minic.Stmt) (ctrl, error) {
-	if m.prof != nil {
-		if !m.profSkip {
-			return m.execStmtProfiled(f, s)
-		}
-		m.profSkip = false
-	}
 	m.steps++
 	if m.steps > m.maxSteps {
 		return ctrl{}, ErrMaxSteps
@@ -522,15 +494,6 @@ func (m *Machine) execStmt(f *frame, s minic.Stmt) (ctrl, error) {
 	case *minic.Continue:
 		return ctrl{kind: ctrlContinue}, nil
 	case *minic.PragmaStmt:
-		if m.onPragma != nil && st.IsMapReduce() {
-			handled, err := m.onPragma(st, &Frame{f: f})
-			if err != nil {
-				return ctrl{}, err
-			}
-			if handled {
-				return ctrl{}, nil
-			}
-		}
 		// On the CPU path, pragmas are comments: execute the body as-is.
 		return m.execStmt(f, st.Body)
 	default:
@@ -587,15 +550,8 @@ func (m *Machine) lookup(f *frame, sym *minic.Symbol) (*Object, error) {
 	return nil, fmt.Errorf("interp: unresolved symbol %q", sym.Name)
 }
 
-// eval evaluates an expression for its value. It mirrors execStmt's
-// profSkip latch; see the overhead note there.
+// eval evaluates an expression for its value.
 func (m *Machine) eval(f *frame, e minic.Expr) (Value, error) {
-	if m.prof != nil {
-		if !m.profSkip {
-			return m.evalProfiled(f, e)
-		}
-		m.profSkip = false
-	}
 	m.cost.Op(1)
 	switch x := e.(type) {
 	case *minic.IntLit:
@@ -1080,9 +1036,6 @@ func (m *Machine) evalCall(f *frame, x *minic.Call) (Value, error) {
 	}
 	if impl, ok := m.builtins[x.Name]; ok && x.Builtin {
 		m.cost.Op(2)
-		if m.prof != nil {
-			return m.callBuiltinProfiled(x.Name, impl, args)
-		}
 		return impl(m, args)
 	}
 	fn := m.Prog.Func(x.Name)
@@ -1091,9 +1044,6 @@ func (m *Machine) evalCall(f *frame, x *minic.Call) (Value, error) {
 		// call sites).
 		if impl, ok := m.builtins[x.Name]; ok {
 			m.cost.Op(2)
-			if m.prof != nil {
-				return m.callBuiltinProfiled(x.Name, impl, args)
-			}
 			return impl(m, args)
 		}
 		return Value{}, fmt.Errorf("interp: call of unknown function %q", x.Name)

@@ -43,20 +43,17 @@ func (m *Machine) BuiltinNamed(name string) (Builtin, bool) {
 	return impl, ok
 }
 
-// CallBuiltin invokes a builtin implementation with profiling attribution
-// when enabled. The caller charges the call-overhead cost.
+// CallBuiltin invokes a builtin implementation, attributing its self time
+// to a per-name profiler bucket when profiling is on. The caller charges
+// the call-overhead cost.
 func (m *Machine) CallBuiltin(name string, impl Builtin, args []Value) (Value, error) {
-	if m.prof != nil {
-		return m.callBuiltinProfiled(name, impl, args)
+	if m.prof == nil {
+		return impl(m, args)
 	}
-	return impl(m, args)
-}
-
-// CallDecl invokes a function declaration with pre-built argument values,
-// propagating errors (including exit unwinding) unchanged. The VM uses it
-// to fall back to the tree-walker for functions it declined to compile.
-func (m *Machine) CallDecl(fn *minic.FuncDecl, args []Value) (Value, error) {
-	return m.call(fn, args)
+	m.prof.Enter(perf.CatBuiltin, name)
+	v, err := impl(m, args)
+	m.prof.Exit()
+	return v, err
 }
 
 // LoadPtr loads the cell at p with bounds checking and cost charging.
@@ -68,11 +65,6 @@ func (m *Machine) StorePtr(p Pointer, v Value) error { return m.store(p, v) }
 
 // Prof returns the machine's profiling collector (nil when off).
 func (m *Machine) Prof() *perf.Collector { return m.prof }
-
-// HasPragmaHook reports whether the machine intercepts mapreduce pragmas
-// (host-capture machines). Such machines must stay on the tree-walker:
-// the bytecode compiler lowers pragma bodies inline.
-func (m *Machine) HasPragmaHook() bool { return m.onPragma != nil }
 
 // ExitStatus unwraps the control-flow error the exit() builtin raises,
 // reporting the exit code and whether err was an exit.

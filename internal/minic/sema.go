@@ -141,7 +141,7 @@ func Check(prog *Program) error {
 		_ = global.define(&Symbol{Name: name, Kind: SymBuiltin, Type: t, Global: true})
 	}
 	for _, g := range prog.Globals {
-		c.checkDecl(global, g, true)
+		c.checkDeclStmt(global, g, true)
 	}
 	for _, f := range prog.Funcs {
 		c.checkFunc(global, f)
@@ -180,7 +180,7 @@ func (c *checker) checkBlock(parent *scope, b *Block) {
 func (c *checker) checkStmt(sc *scope, s Stmt) {
 	switch st := s.(type) {
 	case *DeclStmt:
-		c.checkDecl(sc, st, false)
+		c.checkDeclStmt(sc, st, false)
 	case *ExprStmt:
 		c.checkExpr(sc, st.X)
 	case *EmptyStmt:
@@ -230,7 +230,7 @@ func (c *checker) checkStmt(sc *scope, s Stmt) {
 	}
 }
 
-func (c *checker) checkDecl(sc *scope, d *DeclStmt, global bool) {
+func (c *checker) checkDeclStmt(sc *scope, d *DeclStmt, global bool) {
 	for _, decl := range d.Decls {
 		if decl.Init != nil {
 			c.checkExpr(sc, decl.Init)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/gpurt"
 	"repro/internal/hdfs"
@@ -279,7 +280,7 @@ func TestGPUFaultToleranceRetries(t *testing.T) {
 	exec := buildExecutor(t, 300, 4)
 	stats, err := RunJob(ClusterConfig{
 		Slaves: 4, Node: NodeConfig{MapSlots: 2, ReduceSlots: 1, GPUs: 1},
-		Scheduler: GPUFirst, HeartbeatSec: 1, GPUFailureRate: 0.5, Seed: 11,
+		Scheduler: GPUFirst, HeartbeatSec: 1, Faults: &faults.Plan{GPUFailureRate: 0.5}, Seed: 11,
 	}, exec)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,8 @@
 //     path, the GPU runtime, and the translator carry unconditionally. A
 //     nil *Profiler compiles to a pointer check, so profiling costs
 //     nothing when off. When on, buckets attribute exclusive (self) time
-//     and invocation counts per engine phase, per AST node kind, and per
-//     stdlib builtin.
+//     and invocation counts per engine phase, per bytecode opcode, and
+//     per stdlib builtin.
 //
 //   - A benchmark baseline pipeline (Baseline / Compare): a
 //     schema-versioned, environment-stamped record of the repo's own
@@ -28,17 +28,15 @@ import (
 )
 
 // Bucket categories. Phases measure wall time on the engine's goroutine;
-// stmt/expr/builtin buckets measure summed time across interpreter
-// instances (which may run concurrently inside a GPU kernel launch, so
-// their totals can exceed the enclosing phase's wall time, like CPU time
-// exceeds wall time on a multicore run).
+// builtin/opcode buckets measure summed time across interpreter instances
+// (which may run concurrently inside a GPU kernel launch, so their totals
+// can exceed the enclosing phase's wall time, like CPU time exceeds wall
+// time on a multicore run).
 const (
 	CatPhase   = "phase"
-	CatStmt    = "stmt"
-	CatExpr    = "expr"
 	CatBuiltin = "builtin"
 	// CatOpcode buckets hold per-opcode exclusive time from the bytecode
-	// VM's dispatch loop (the register-machine analogue of CatStmt/CatExpr).
+	// VM's dispatch loop.
 	CatOpcode = "opcode"
 )
 
@@ -237,9 +235,9 @@ type span struct {
 
 // Collector accumulates exclusive-time buckets on one goroutine without
 // locking; Flush merges them into the parent Profiler under its lock. The
-// interpreter calls Enter/Exit around every statement, expression, and
-// builtin invocation, so both must stay allocation-free on the steady
-// state (the stack and map amortize).
+// VM calls Enter/Exit around every opcode dispatch and builtin
+// invocation, so both must stay allocation-free on the steady state (the
+// stack and map amortize).
 type Collector struct {
 	prof    *Profiler
 	phase   string

@@ -55,23 +55,23 @@ func TestPhaseExclusiveTime(t *testing.T) {
 func TestCollectorExclusiveTimeAndFlush(t *testing.T) {
 	p := New()
 	c := p.Collector(PhaseCPUMap)
-	c.Enter(CatStmt, "For")
-	c.Enter(CatExpr, "Binary")
+	c.Enter(CatBuiltin, "printf")
+	c.Enter(CatOpcode, "add.i")
 	c.Exit()
-	c.Enter(CatExpr, "Binary")
+	c.Enter(CatOpcode, "add.i")
 	c.Exit()
 	c.Exit()
 	c.Flush()
 	c.Flush() // second flush is a no-op, not a double count
 
 	s := p.Snapshot()
-	bin := s.Buckets[Key{Phase: PhaseCPUMap, Cat: CatExpr, Name: "Binary"}]
-	if bin.Count != 2 {
-		t.Fatalf("Binary count = %d, want 2", bin.Count)
+	add := s.Buckets[Key{Phase: PhaseCPUMap, Cat: CatOpcode, Name: "add.i"}]
+	if add.Count != 2 {
+		t.Fatalf("add.i count = %d, want 2", add.Count)
 	}
-	forB := s.Buckets[Key{Phase: PhaseCPUMap, Cat: CatStmt, Name: "For"}]
-	if forB.Count != 1 {
-		t.Fatalf("For count = %d, want 1", forB.Count)
+	printf := s.Buckets[Key{Phase: PhaseCPUMap, Cat: CatBuiltin, Name: "printf"}]
+	if printf.Count != 1 {
+		t.Fatalf("printf count = %d, want 1", printf.Count)
 	}
 }
 
@@ -84,14 +84,14 @@ func TestConcurrentCollectorsMerge(t *testing.T) {
 			defer wg.Done()
 			c := p.Collector(PhaseGPUMap)
 			for i := 0; i < 1000; i++ {
-				c.Enter(CatExpr, "Ident")
+				c.Enter(CatOpcode, "load.v")
 				c.Exit()
 			}
 			c.Flush()
 		}()
 	}
 	wg.Wait()
-	b := p.Snapshot().Buckets[Key{Phase: PhaseGPUMap, Cat: CatExpr, Name: "Ident"}]
+	b := p.Snapshot().Buckets[Key{Phase: PhaseGPUMap, Cat: CatOpcode, Name: "load.v"}]
 	if b.Count != 8000 {
 		t.Fatalf("merged count = %d, want 8000", b.Count)
 	}
@@ -145,7 +145,7 @@ func TestSnapshotEntriesDeterministic(t *testing.T) {
 	p := New()
 	for _, name := range []string{"b", "a", "c"} {
 		c := p.Collector("")
-		c.Enter(CatStmt, name)
+		c.Enter(CatOpcode, name)
 		c.Exit()
 		c.Flush()
 	}

@@ -84,7 +84,7 @@ func (s Snapshot) WriteTable(w io.Writer, k int) error {
 		}
 	}
 
-	interpTotal := s.TotalNanos(CatStmt, CatExpr, CatBuiltin, CatOpcode)
+	interpTotal := s.TotalNanos(CatBuiltin, CatOpcode)
 	if interpTotal > 0 {
 		fmt.Fprintf(w, "interpreter hot paths (self time, top %d):\n", k)
 		fmt.Fprintf(w, "  %-10s %-22s %12s %14s %7s\n", "kind", "bucket", "calls", "self", "%")

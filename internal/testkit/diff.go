@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/gpurt"
 	"repro/internal/hdfs"
+	"repro/internal/interp"
 	"repro/internal/kv"
 	"repro/internal/mr"
 	"repro/internal/obs"
@@ -26,14 +28,6 @@ func Compile(p Program) (*mr.CompiledJob, error) { return CompileOpt(p, false) }
 // CompileOpt is Compile with explicit control over the SSA optimizer
 // (disableOpt=true is -O0), for the opt-on/off metamorphic suite.
 func CompileOpt(p Program, disableOpt bool) (*mr.CompiledJob, error) {
-	return CompileVariant(p, disableOpt, false)
-}
-
-// CompileVariant is Compile with explicit control over both execution
-// knobs: disableOpt=true is -O0 (skip the SSA optimizer), disableVM=true
-// pins every interpreted stage to the AST tree-walker instead of the
-// default register-bytecode VM (-novm).
-func CompileVariant(p Program, disableOpt, disableVM bool) (*mr.CompiledJob, error) {
 	return mr.CompileJob(mr.JobProgram{
 		Name:        p.Name,
 		MapSrc:      p.MapSrc,
@@ -41,7 +35,6 @@ func CompileVariant(p Program, disableOpt, disableVM bool) (*mr.CompiledJob, err
 		ReduceSrc:   p.ReduceSrc,
 		NumReducers: p.Reducers,
 		DisableOpt:  disableOpt,
-		DisableVM:   disableVM,
 	})
 }
 
@@ -67,13 +60,14 @@ func Lint(p Program) []analysis.Diagnostic {
 	return bad
 }
 
-// Reference executes the program with the sequential CPU interpreter —
-// the plain C semantics the paper's §4 equivalence claim is anchored to:
+// Reference executes the program on the AST tree-walker — the plain C
+// semantics the paper's §4 equivalence claim is anchored to, evaluated by
+// a second execution core rather than the bytecode VM every backend runs:
 // one map pass over the whole input, then hash-partition, sort, and reduce
 // (no splits, no combiner, no cluster). Its output is what every cluster
 // backend must reproduce byte for byte.
 func Reference(cj *mr.CompiledJob, input []byte) (string, error) {
-	out, _, err := cj.MapF.Run(input)
+	out, err := walk(cj.MapF, input)
 	if err != nil {
 		return "", fmt.Errorf("testkit: reference map: %w", err)
 	}
@@ -97,13 +91,30 @@ func Reference(cj *mr.CompiledJob, input []byte) (string, error) {
 	var final []kv.Pair
 	for _, part := range parts {
 		kv.SortPairs(part)
-		outPairs, _, err := streaming.RunReduce(cj.ReduceF, cj.Schema, [][]kv.Pair{part}, streaming.XeonE52680())
+		out, err := walk(cj.ReduceF, streaming.RenderKVLines(part))
 		if err != nil {
 			return "", fmt.Errorf("testkit: reference reduce: %w", err)
+		}
+		outPairs, err := streaming.ParseKVLines(out, cj.Schema)
+		if err != nil {
+			return "", fmt.Errorf("testkit: reference reduce output: %w", err)
 		}
 		final = append(final, outPairs...)
 	}
 	return renderPairs(final), nil
+}
+
+// walk runs a streaming filter's program on the tree-walker.
+func walk(f *streaming.Filter, input []byte) (string, error) {
+	var out bytes.Buffer
+	code, err := interp.New(f.Prog, interp.Options{Stdin: bytes.NewReader(input), Stdout: &out}).Run()
+	if err != nil {
+		return "", fmt.Errorf("filter %q: %w", f.Name, err)
+	}
+	if code != 0 {
+		return "", fmt.Errorf("filter %q exited with status %d", f.Name, code)
+	}
+	return out.String(), nil
 }
 
 // ClusterOpts parameterizes one simulated cluster run of a generated

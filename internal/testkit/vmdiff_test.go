@@ -2,97 +2,124 @@ package testkit
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/kv"
 	"repro/internal/mr"
+	"repro/internal/streaming"
 )
 
-// compileBothCores compiles one generated program twice: once on the
-// default register-bytecode VM and once pinned to the AST tree-walker.
-func compileBothCores(t *testing.T, p Program, disableOpt bool) (vm, walker *mr.CompiledJob) {
-	t.Helper()
-	vm, err := CompileVariant(p, disableOpt, false)
+// vmSequential is Reference's one-pass pipeline run on the bytecode VM
+// (the compiled streaming filters) instead of the tree-walker.
+func vmSequential(cj *mr.CompiledJob, input []byte) (string, error) {
+	out, _, err := cj.MapF.Run(input)
 	if err != nil {
-		t.Fatalf("seed %d: VM compile: %v\nmap source:\n%s", p.Seed, err, p.MapSrc)
+		return "", err
 	}
-	walker, err = CompileVariant(p, disableOpt, true)
+	pairs, err := streaming.ParseKVLines(out, cj.Schema)
 	if err != nil {
-		t.Fatalf("seed %d: tree-walker compile: %v\nmap source:\n%s", p.Seed, err, p.MapSrc)
+		return "", err
 	}
-	return vm, walker
+	if cj.Program.NumReducers <= 0 {
+		sort.SliceStable(pairs, func(i, j int) bool {
+			return kv.Compare(pairs[i].Key, pairs[j].Key) < 0
+		})
+		return renderPairs(pairs), nil
+	}
+	parts := make([][]kv.Pair, cj.Program.NumReducers)
+	for _, p := range pairs {
+		i := kv.Partition(p.Key, cj.Program.NumReducers)
+		parts[i] = append(parts[i], p)
+	}
+	var final []kv.Pair
+	for _, part := range parts {
+		kv.SortPairs(part)
+		outPairs, _, err := streaming.RunReduce(cj.ReduceF, cj.Schema, [][]kv.Pair{part}, streaming.XeonE52680())
+		if err != nil {
+			return "", err
+		}
+		final = append(final, outPairs...)
+	}
+	return renderPairs(final), nil
 }
 
-// diffCores fails the test unless the VM and tree-walker runs of one seed
-// produced byte-identical output on every backend.
-func diffCores(t *testing.T, p Program, what string, vm, walker DiffResult) {
+// checkVMSequential fails the test unless the VM's sequential pass matches
+// the tree-walker Reference byte for byte.
+func checkVMSequential(t *testing.T, p Program, what string, cj *mr.CompiledJob, ref string) {
 	t.Helper()
-	for _, backend := range []struct{ name, vm, walker string }{
-		{"sequential", vm.Sequential, walker.Sequential},
-		{"streaming", vm.Streaming, walker.Streaming},
-		{"gpu", vm.GPU, walker.GPU},
-	} {
-		if backend.vm != backend.walker {
-			t.Fatalf("seed %d: %s: VM and tree-walker disagree on the %s backend\nvm:\n%s\ntree-walker:\n%s\nmap source:\n%s\ncombine source:\n%s",
-				p.Seed, what, backend.name, head(backend.vm), head(backend.walker), p.MapSrc, p.CombineSrc)
-		}
+	got, err := vmSequential(cj, p.Input)
+	if err != nil {
+		t.Fatalf("seed %d: %s: VM sequential run: %v\nmap source:\n%s", p.Seed, what, err, p.MapSrc)
+	}
+	if got != ref {
+		t.Fatalf("seed %d: %s: VM and tree-walker disagree\nvm:\n%s\ntree-walker:\n%s\nmap source:\n%s\ncombine source:\n%s",
+			p.Seed, what, head(got), head(ref), p.MapSrc, p.CombineSrc)
 	}
 }
 
 // TestVMMatchesTreeWalkerAcrossSeeds pins the execution-core equivalence
-// claim: the register-bytecode VM (the default core) and the AST
-// tree-walker (-novm) must produce byte-identical output for every seed in
-// the generated corpus, on all three backends — sequential, streaming, and
-// GPU. A failing seed reproduces with `go run ./cmd/hdgen -seed N -check`
-// plus `heterodoop -novm` on the same sources.
+// claim without any cluster in between: for every seed in the generated
+// corpus, the sequential map→partition→sort→reduce pass on the bytecode
+// VM must equal the tree-walker Reference byte for byte. (The cluster
+// backends are checked against the same Reference by
+// TestGeneratedProgramsAgreeAcrossBackends.)
 func TestVMMatchesTreeWalkerAcrossSeeds(t *testing.T) {
 	for seed := uint64(0); seed < NumDifferentialSeeds; seed++ {
 		p := Generate(seed)
-		vmJob, walkJob := compileBothCores(t, p, false)
-		vmRes, err := RunDifferentialCompiled(vmJob, p)
+		cj, err := Compile(p)
 		if err != nil {
-			t.Fatalf("seed %d: VM run: %v\nmap source:\n%s", seed, err, p.MapSrc)
+			t.Fatalf("seed %d: compile: %v\nmap source:\n%s", seed, err, p.MapSrc)
 		}
-		walkRes, err := RunDifferentialCompiled(walkJob, p)
+		ref, err := Reference(cj, p.Input)
 		if err != nil {
-			t.Fatalf("seed %d: tree-walker run: %v\nmap source:\n%s", seed, err, p.MapSrc)
+			t.Fatalf("seed %d: tree-walker reference: %v\nmap source:\n%s", seed, err, p.MapSrc)
 		}
-		diffCores(t, p, "default build", vmRes, walkRes)
+		checkVMSequential(t, p, "default build", cj, ref)
 	}
 }
 
 // TestVMMatchesTreeWalkerUnoptimized is the same equivalence with the SSA
-// optimizer off (-O0): the bytecode compiler must lower the raw AST as
-// faithfully as the optimized one.
+// optimizer off (-O0), on every backend: the bytecode compiler must lower
+// the raw AST as faithfully as the optimized one.
 func TestVMMatchesTreeWalkerUnoptimized(t *testing.T) {
 	for seed := uint64(0); seed < NumMetamorphicSeeds; seed++ {
 		p := Generate(seed)
-		vmJob, walkJob := compileBothCores(t, p, true)
-		vmRes, err := RunDifferentialCompiled(vmJob, p)
+		cj, err := CompileOpt(p, true)
 		if err != nil {
-			t.Fatalf("seed %d: VM -O0 run: %v\nmap source:\n%s", seed, err, p.MapSrc)
+			t.Fatalf("seed %d: -O0 compile: %v\nmap source:\n%s", seed, err, p.MapSrc)
 		}
-		walkRes, err := RunDifferentialCompiled(walkJob, p)
+		res, err := RunDifferentialCompiled(cj, p)
 		if err != nil {
-			t.Fatalf("seed %d: tree-walker -O0 run: %v\nmap source:\n%s", seed, err, p.MapSrc)
+			t.Fatalf("seed %d: -O0 run: %v\nmap source:\n%s", seed, err, p.MapSrc)
 		}
-		diffCores(t, p, "-O0 build", vmRes, walkRes)
+		if !res.Agree() {
+			t.Fatalf("seed %d: -O0 backends disagree with the tree-walker\ntree-walker:\n%s\nstreaming:\n%s\ngpu:\n%s\nmap source:\n%s",
+				seed, head(res.Sequential), head(res.Streaming), head(res.GPU), p.MapSrc)
+		}
+		checkVMSequential(t, p, "-O0 build", cj, res.Sequential)
 	}
 }
 
-// TestVMMatchesTreeWalkerUnderFaults drives both execution cores through
-// recovering fault plans: re-executed attempts and GPU->CPU fallbacks must
-// not open a gap between the cores. The VM's cost parity with the walker is
-// what keeps the virtual-time schedule — and so the fault injection points —
-// identical between the two runs.
+// TestVMMatchesTreeWalkerUnderFaults drives the VM's cluster backend
+// through recovering fault plans: re-executed attempts and GPU->CPU
+// fallbacks must still reproduce the tree-walker Reference.
 func TestVMMatchesTreeWalkerUnderFaults(t *testing.T) {
 	const faultSeeds = 6
 	for seed := uint64(0); seed < faultSeeds; seed++ {
 		p := Generate(seed)
-		vmJob, walkJob := compileBothCores(t, p, false)
-		clean, err := RunCluster(vmJob, p.Input, ClusterOpts{Scheduler: mr.GPUFirst, Seed: seed})
+		cj, err := Compile(p)
 		if err != nil {
-			t.Fatalf("seed %d: clean VM run: %v", seed, err)
+			t.Fatalf("seed %d: compile: %v", seed, err)
+		}
+		ref, err := Reference(cj, p.Input)
+		if err != nil {
+			t.Fatalf("seed %d: tree-walker reference: %v", seed, err)
+		}
+		clean, err := RunCluster(cj, p.Input, ClusterOpts{Scheduler: mr.GPUFirst, Seed: seed})
+		if err != nil {
+			t.Fatalf("seed %d: clean run: %v", seed, err)
 		}
 		mid := clean.MapPhaseEnd / 2
 		specs := []struct{ name, spec string }{
@@ -106,18 +133,13 @@ func TestVMMatchesTreeWalkerUnderFaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: plan %s: %v", seed, tc.name, err)
 			}
-			o := ClusterOpts{Scheduler: mr.GPUFirst, Faults: plan, Seed: seed}
-			vmStats, err := RunCluster(vmJob, p.Input, o)
+			stats, err := RunCluster(cj, p.Input, ClusterOpts{Scheduler: mr.GPUFirst, Faults: plan, Seed: seed})
 			if err != nil {
-				t.Fatalf("seed %d: plan %s: VM run: %v", seed, tc.name, err)
+				t.Fatalf("seed %d: plan %s: run: %v", seed, tc.name, err)
 			}
-			walkStats, err := RunCluster(walkJob, p.Input, o)
-			if err != nil {
-				t.Fatalf("seed %d: plan %s: tree-walker run: %v", seed, tc.name, err)
-			}
-			if vmOut, walkOut := TextOutput(vmStats), TextOutput(walkStats); vmOut != walkOut {
+			if got := TextOutput(stats); got != ref {
 				t.Fatalf("seed %d: fault plan %s (%s): VM and tree-walker disagree\nvm:\n%s\ntree-walker:\n%s\nmap source:\n%s",
-					seed, tc.name, tc.spec, head(vmOut), head(walkOut), p.MapSrc)
+					seed, tc.name, tc.spec, head(got), head(ref), p.MapSrc)
 			}
 		}
 	}
