@@ -62,7 +62,7 @@ func compileProgram(prog *minic.Program, lw lowering, halt bool) (*Program, erro
 			return nil, err
 		}
 	}
-	return b.prog, nil
+	return b.done(), nil
 }
 
 // CompileFragmentExpr compiles a kernel condition expression (the mapper
@@ -121,7 +121,7 @@ func compileFragment(prog *minic.Program, decl *minic.FuncDecl, body *minic.Bloc
 			return nil, err
 		}
 	}
-	return b.prog, nil
+	return b.done(), nil
 }
 
 // walkFragmentStmts visits s and nested statements (fragment ASTs only
@@ -175,6 +175,22 @@ func newBuilder(fragment bool) *builder {
 		opIdx:     map[string]int32{},
 		calleeIdx: map[Callee]int32{},
 	}
+}
+
+// done completes the program with the per-symbol tables the VM reads.
+func (b *builder) done() *Program {
+	p := b.prog
+	p.symType = make([]*minic.Type, len(p.Syms))
+	p.symWidth = make([]int, len(p.Syms))
+	p.symConv = make([]uint8, len(p.Syms))
+	for i, sym := range p.Syms {
+		p.symType[i] = sym.Type
+		p.symConv[i] = convCodeFor(sym.Type)
+		if sym.Type != nil {
+			p.symWidth[i] = sym.Type.Size()
+		}
+	}
+	return p
 }
 
 func (b *builder) constant(v interp.Value) int32 {

@@ -263,6 +263,15 @@ type Program struct {
 	// are its transitive user-function callees.
 	Fragment bool
 	Free     []FreeRef
+
+	// symType, symWidth and symConv parallel Syms: each symbol's declared
+	// type, its width in bytes, and its OpStoreV conversion code. They
+	// depend only on Syms, so they are built once with the program (see
+	// builder.done); the program is read-only afterwards and every VM,
+	// on whatever goroutine, shares them.
+	symType  []*minic.Type
+	symWidth []int
+	symConv  []uint8
 }
 
 // fnFor returns the index of decl's compiled function, or -1.

@@ -21,12 +21,10 @@ type VM struct {
 	cost interp.CostSink
 	col  *perf.Collector
 
-	// Per-pool caches resolved against this machine.
-	objs     []*interp.Object // by Syms index (globals; nil for locals)
+	// Per-pool caches resolved against this machine, by Syms index: global
+	// storage (nil for locals) and each symbol's memory space.
+	objs     []*interp.Object
 	symSpace []interp.MemSpace
-	symWidth []int
-	symType  []*minic.Type
-	symConv  []uint8
 	resolved bool
 
 	linked []linkedCallee
@@ -100,20 +98,11 @@ func NewVM(m *interp.Machine, p *Program) *VM {
 		col:      m.Prof(),
 		linked:   make([]linkedCallee, len(p.Callees)),
 		pools:    make([][]*vmFrame, len(p.Fns)),
-		args:     make([]interp.Value, 0, 16),
 		objs:     make([]*interp.Object, len(p.Syms)),
 		symSpace: make([]interp.MemSpace, len(p.Syms)),
-		symWidth: make([]int, len(p.Syms)),
-		symType:  make([]*minic.Type, len(p.Syms)),
-		symConv:  make([]uint8, len(p.Syms)),
 	}
 	for i, sym := range p.Syms {
 		vm.symSpace[i] = m.SpaceOf(sym)
-		vm.symType[i] = sym.Type
-		vm.symConv[i] = convCodeFor(sym.Type)
-		if sym.Type != nil {
-			vm.symWidth[i] = sym.Type.Size()
-		}
 	}
 	return vm
 }
@@ -269,7 +258,7 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 	cost := vm.cost
 	col := vm.col
 	consts := vm.Prog.Consts
-	symSpace, symWidth, symConv := vm.symSpace, vm.symWidth, vm.symConv
+	symSpace, symWidth, symConv := vm.symSpace, vm.Prog.symWidth, vm.Prog.symConv
 	for pc := 0; pc < len(code); pc++ {
 		in := code[pc]
 		if col != nil {
@@ -467,13 +456,13 @@ func (vm *VM) exec(fn *Fn, fr *vmFrame) (interp.Value, bool, error) {
 				regs[in.A] = interp.IntVal(int64(byte(v.AsInt())))
 			case convPtr:
 				if v.Kind != interp.ValPtr {
-					v = interp.ConvertFor(vm.symType[in.C], v)
+					v = interp.ConvertFor(vm.Prog.symType[in.C], v)
 				}
 				regs[in.A] = v
 			case convNone:
 				regs[in.A] = v
 			default:
-				regs[in.A] = interp.ConvertFor(vm.symType[in.C], v)
+				regs[in.A] = interp.ConvertFor(vm.Prog.symType[in.C], v)
 			}
 		case OpLoadO:
 			obj, err := vm.object(fr, in.B)

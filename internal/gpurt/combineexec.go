@@ -56,6 +56,12 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, cap *hostCaptu
 		warpsPerBlock = 1
 	}
 
+	// The sharedRO bindings are the same for every warp of every partition.
+	shared, err := sharedBindings(spec, cap, opts)
+	if err != nil {
+		return nil, err
+	}
+
 	// Partitions and warps execute sequentially on this goroutine, so one
 	// collector serves every warp machine.
 	col := opts.Prof.Collector(perf.PhaseGPUCombine)
@@ -81,7 +87,7 @@ func ExecCombineKernels(dev *gpu.Device, comp *compiler.Compiled, cap *hostCaptu
 			if hi > len(slots) {
 				hi = len(slots)
 			}
-			out, cycles, bd, err := runCombineWarp(dev, comp, cap, store, slots[lo:hi], opts, col)
+			out, cycles, bd, err := runCombineWarp(dev, comp, cap, shared, store, slots[lo:hi], opts, col)
 			if err != nil {
 				return nil, err
 			}
@@ -126,7 +132,8 @@ type combineWarp struct {
 // a chunk of a sorted partition, returning the warp's output, total cycles,
 // and per-space cycle breakdown.
 func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
-	store *KVStore, slots []int32, opts Options, col *perf.Collector) ([]kv.Pair, float64, gpu.CycleBreakdown, error) {
+	shared map[*minic.Symbol]*interp.Object, store *KVStore, slots []int32,
+	opts Options, col *perf.Collector) ([]kv.Pair, float64, gpu.CycleBreakdown, error) {
 
 	spec := comp.Kernel
 	w := &combineWarp{cost: gpu.NewThreadCost(&dev.Config), slots: slots}
@@ -134,10 +141,6 @@ func runCombineWarp(dev *gpu.Device, comp *compiler.Compiled, cap *hostCapture,
 
 	// Private arrays of combine kernels live in shared memory (paper §4.2).
 	priv, err := privateBindings(spec, cap, interp.SpaceShared)
-	if err != nil {
-		return nil, 0, gpu.CycleBreakdown{}, err
-	}
-	shared, err := sharedBindings(spec, cap, opts)
 	if err != nil {
 		return nil, 0, gpu.CycleBreakdown{}, err
 	}

@@ -57,9 +57,5 @@ func (m *Machine) AllocSpace() MemSpace { return m.space }
 
 // GlobalObject returns the storage of a file-scope variable, or nil.
 func (m *Machine) GlobalObject(sym *minic.Symbol) *Object {
-	obj := m.globals[sym]
-	if obj == globalsDone {
-		return nil
-	}
-	return obj
+	return m.globals[sym]
 }

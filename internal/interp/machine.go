@@ -198,14 +198,16 @@ type Builtin func(m *Machine, args []Value) (Value, error)
 
 // Options configures a Machine.
 type Options struct {
-	// Stdin supplies input records; nil means empty input.
+	// Stdin supplies input records; nil means empty input, and no buffer is
+	// allocated. A non-nil reader gets its 64 KiB buffer on the first read.
 	Stdin io.Reader
 	// Stdout receives printf output; nil discards it.
 	Stdout io.Writer
 	// Cost receives cost events; nil installs NopSink.
 	Cost CostSink
 	// Intrinsics add or override builtin implementations (used by the GPU
-	// runtime to supply getRecord, emitKV, ...).
+	// runtime to supply getRecord, emitKV, ...). The machine keeps the map
+	// itself, not a copy, so it must not change while the machine runs.
 	Intrinsics map[string]Builtin
 	// DefaultSpace is the memory space for newly allocated objects.
 	DefaultSpace MemSpace
@@ -229,19 +231,24 @@ func (e errExit) Error() string { return fmt.Sprintf("exit(%d)", e.code) }
 
 // Machine executes one MiniC program instance. Machines are not safe for
 // concurrent use; create one per simulated thread.
+//
+// A machine resolves a builtin name in its Options.Intrinsics first and
+// then in the C library table, which all machines share read-only, so an
+// intrinsic overrides a stdlib function of the same name.
 type Machine struct {
 	Prog *minic.Program
 
-	stdin    *tokenReader
-	stdout   io.Writer
-	cost     CostSink
-	builtins map[string]Builtin
-	space    MemSpace
-	spaceFor func(sym *minic.Symbol) MemSpace
+	stdin      tokenReader
+	stdout     io.Writer
+	cost       CostSink
+	intrinsics map[string]Builtin
+	space      MemSpace
+	spaceFor   func(sym *minic.Symbol) MemSpace
 
-	globals  map[*minic.Symbol]*Object
-	literals map[string]*Object
-	prof     *perf.Collector
+	globals     map[*minic.Symbol]*Object
+	globalsInit bool
+	literals    map[string]*Object
+	prof        *perf.Collector
 
 	steps    int64
 	maxSteps int64
@@ -269,29 +276,23 @@ type frame struct {
 // New builds a machine for prog. The program must have passed minic.Check.
 func New(prog *minic.Program, opts Options) *Machine {
 	m := &Machine{
-		Prog:     prog,
-		stdout:   opts.Stdout,
-		cost:     opts.Cost,
-		space:    opts.DefaultSpace,
-		spaceFor: opts.SpaceFor,
-		globals:  map[*minic.Symbol]*Object{},
-		literals: map[string]*Object{},
-		prof:     opts.Prof,
-		maxSteps: opts.MaxSteps,
+		Prog:       prog,
+		stdin:      tokenReader{src: opts.Stdin},
+		stdout:     opts.Stdout,
+		cost:       opts.Cost,
+		intrinsics: opts.Intrinsics,
+		space:      opts.DefaultSpace,
+		spaceFor:   opts.SpaceFor,
+		globals:    map[*minic.Symbol]*Object{},
+		literals:   map[string]*Object{},
+		prof:       opts.Prof,
+		maxSteps:   opts.MaxSteps,
 	}
 	if m.cost == nil {
 		m.cost = NopSink{}
 	}
 	if m.maxSteps == 0 {
 		m.maxSteps = 2_000_000_000
-	}
-	m.stdin = newTokenReader(opts.Stdin)
-	m.builtins = map[string]Builtin{}
-	for name, fn := range stdlib {
-		m.builtins[name] = fn
-	}
-	for name, fn := range opts.Intrinsics {
-		m.builtins[name] = fn
 	}
 	return m
 }
@@ -338,13 +339,11 @@ func (m *Machine) CallFunction(name string, args []Value) (Value, error) {
 	return v, err
 }
 
-var globalsDone = &Object{}
-
 func (m *Machine) initGlobals() error {
-	if m.globals[nil] == globalsDone {
+	if m.globalsInit {
 		return nil
 	}
-	m.globals[nil] = globalsDone
+	m.globalsInit = true
 	f := &frame{vars: m.globals}
 	for _, g := range m.Prog.Globals {
 		if _, err := m.execDecl(f, g); err != nil {
@@ -1034,7 +1033,7 @@ func (m *Machine) evalCall(f *frame, x *minic.Call) (Value, error) {
 		}
 		args[i] = v
 	}
-	if impl, ok := m.builtins[x.Name]; ok && x.Builtin {
+	if impl, ok := m.BuiltinNamed(x.Name); ok && x.Builtin {
 		m.cost.Op(2)
 		return impl(m, args)
 	}
@@ -1042,7 +1041,7 @@ func (m *Machine) evalCall(f *frame, x *minic.Call) (Value, error) {
 	if fn == nil {
 		// Intrinsic installed without sema marking (translator-generated
 		// call sites).
-		if impl, ok := m.builtins[x.Name]; ok {
+		if impl, ok := m.BuiltinNamed(x.Name); ok {
 			m.cost.Op(2)
 			return impl(m, args)
 		}

@@ -12,17 +12,21 @@ import (
 )
 
 // tokenReader provides both line-oriented (getline) and token-oriented
-// (scanf) access over a single input stream, like C stdio.
+// (scanf) access over a single input stream, like C stdio. The buffer is
+// allocated on the first read, and never when there is no input: most
+// machines (every simulated GPU thread) never read stdin.
 type tokenReader struct {
+	src io.Reader
 	r   *bufio.Reader
 	eof bool
 }
 
-func newTokenReader(r io.Reader) *tokenReader {
-	if r == nil {
-		r = strings.NewReader("")
+// buffered returns the reader over the input, or nil when there is none.
+func (t *tokenReader) buffered() *bufio.Reader {
+	if t.r == nil && t.src != nil {
+		t.r = bufio.NewReaderSize(t.src, 64<<10)
 	}
-	return &tokenReader{r: bufio.NewReaderSize(r, 64<<10)}
+	return t.r
 }
 
 // readLine returns the next line including its trailing newline (if
@@ -31,7 +35,12 @@ func (t *tokenReader) readLine() (string, bool) {
 	if t.eof {
 		return "", false
 	}
-	line, err := t.r.ReadString('\n')
+	r := t.buffered()
+	if r == nil {
+		t.eof = true
+		return "", false
+	}
+	line, err := r.ReadString('\n')
 	if err != nil {
 		t.eof = true
 		if len(line) == 0 {
@@ -43,10 +52,15 @@ func (t *tokenReader) readLine() (string, bool) {
 
 // readToken skips whitespace then reads a run of non-whitespace bytes.
 func (t *tokenReader) readToken() (string, bool) {
+	r := t.buffered()
+	if r == nil {
+		t.eof = true
+		return "", false
+	}
 	var b strings.Builder
 	// Skip leading whitespace.
 	for {
-		c, err := t.r.ReadByte()
+		c, err := r.ReadByte()
 		if err != nil {
 			t.eof = true
 			return "", false
@@ -57,13 +71,13 @@ func (t *tokenReader) readToken() (string, bool) {
 		}
 	}
 	for {
-		c, err := t.r.ReadByte()
+		c, err := r.ReadByte()
 		if err != nil {
 			t.eof = true
 			break
 		}
 		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			_ = t.r.UnreadByte()
+			_ = r.UnreadByte()
 			break
 		}
 		b.WriteByte(c)
@@ -72,7 +86,12 @@ func (t *tokenReader) readToken() (string, bool) {
 }
 
 func (t *tokenReader) readByte() (byte, bool) {
-	c, err := t.r.ReadByte()
+	r := t.buffered()
+	if r == nil {
+		t.eof = true
+		return 0, false
+	}
+	c, err := r.ReadByte()
 	if err != nil {
 		t.eof = true
 		return 0, false
@@ -80,8 +99,9 @@ func (t *tokenReader) readByte() (byte, bool) {
 	return c, true
 }
 
-// stdlib is the built-in C library. GPU intrinsics are installed separately
-// via Options.Intrinsics by package gpurt.
+// stdlib is the built-in C library, shared read-only by every machine. GPU
+// intrinsics are installed separately via Options.Intrinsics by package
+// gpurt, and a machine looks them up first (see Machine.BuiltinNamed).
 var stdlib = map[string]Builtin{
 	"getline": biGetline,
 	"printf":  biPrintf,

@@ -37,9 +37,13 @@ func (m *Machine) InternLiteral(s string) *Object { return m.internLiteral(s) }
 // Stdio returns the opaque handle object for a stdio stream name.
 func (m *Machine) Stdio(name string) *Object { return m.stdioHandle(name) }
 
-// BuiltinNamed looks up a builtin/intrinsic implementation.
+// BuiltinNamed looks up a builtin/intrinsic implementation: the
+// machine's intrinsics first, then the shared stdlib table.
 func (m *Machine) BuiltinNamed(name string) (Builtin, bool) {
-	impl, ok := m.builtins[name]
+	if impl, ok := m.intrinsics[name]; ok {
+		return impl, true
+	}
+	impl, ok := stdlib[name]
 	return impl, ok
 }
 
