@@ -174,13 +174,6 @@ func schedLabel(s mr.SchedulerKind) string {
 	return "gpufirst"
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // FormatFig4 renders Fig4 rows with the given configuration columns.
 func FormatFig4(title string, rows []Fig4Row, labels []string) string {
 	var b strings.Builder

@@ -3,6 +3,7 @@ package mr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -54,16 +55,22 @@ func RunJob(cfg ClusterConfig, exec Executor) (*JobStats, error) {
 		stats:         &JobStats{},
 		jt:            newJobTracker(cfg, exec),
 		slaves:        make([]*taskTracker, cfg.Slaves),
-		attempts:      map[int][]*attemptRun{},
+		attempts:      make([][]*attemptRun, splits),
 		splitDone:     make([]bool, splits),
-		speculated:    map[int]bool{},
+		speculated:    make([]bool, splits),
 		attemptSeq:    make([]int, splits),
 		failCount:     make([]int, splits),
 		gpuDemoted:    make([]bool, splits),
 		mapHost:       make([]int, splits),
 		commitAttempt: make([]int, splits),
 		skippedBy:     make([]int, splits),
-		reduceRuns:    map[int]*reduceRun{},
+		reduceRuns:    make([]*reduceRun, exec.NumReducers()),
+	}
+	// A split has at most two live attempts (the original and one
+	// speculative backup), so every split's list is carved from one array.
+	runs := make([]*attemptRun, 2*splits)
+	for i := range e.attempts {
+		e.attempts[i] = runs[2*i : 2*i : 2*i+2]
 	}
 	e.summer, _ = exec.(partitionSummer)
 	for i := range e.mapHost {
@@ -87,7 +94,7 @@ func RunJob(cfg ClusterConfig, exec Executor) (*JobStats, error) {
 		e.pre = pf
 	}
 	for n := 0; n < cfg.Slaves; n++ {
-		e.slaves[n] = &taskTracker{
+		tt := &taskTracker{
 			node:     n,
 			alive:    true,
 			cpuFree:  cfg.Node.MapSlots,
@@ -96,12 +103,14 @@ func RunJob(cfg ClusterConfig, exec Executor) (*JobStats, error) {
 			redFree:  cfg.Node.ReduceSlots,
 			speedup:  0,
 		}
+		tt.hbFn = func() { e.heartbeat(tt.node) }
+		tt.expiryFn = func() { e.checkExpiry(tt) }
+		e.slaves[n] = tt
 	}
 	// Stagger initial heartbeats deterministically across the interval.
-	for n := 0; n < cfg.Slaves; n++ {
-		node := n
+	for n, tt := range e.slaves {
 		offset := cfg.HeartbeatSec * float64(n) / float64(cfg.Slaves)
-		e.slaves[n].hbEv = e.eng.At(sim.Time(offset), func() { e.heartbeat(node) })
+		tt.hbEv = e.eng.At(sim.Time(offset), tt.hbFn)
 	}
 	// Install the scheduled faults; equal-time faults apply in plan order.
 	for _, f := range plan.Scheduled() {
@@ -157,9 +166,9 @@ type engine struct {
 
 	// attempts tracks in-flight executions per split (more than one when
 	// speculative execution launches a backup).
-	attempts   map[int][]*attemptRun
+	attempts   [][]*attemptRun
 	splitDone  []bool
-	speculated map[int]bool
+	speculated []bool
 
 	// Fault-tolerance state.
 	attemptSeq []int  // next attempt id per split (keys failure draws)
@@ -179,9 +188,9 @@ type engine struct {
 	// pre is the executor's prefetching extension; non-nil only when a
 	// parallel pool is attached.
 	pre prefetcher
-	// reduceRuns tracks the live attempt per reduce partition so node
-	// death can cancel and restart it.
-	reduceRuns      map[int]*reduceRun
+	// reduceRuns tracks the live attempt per reduce partition (nil when
+	// none) so node death can cancel and restart it.
+	reduceRuns      []*reduceRun
 	pendingRestarts int
 
 	// Observability. All handles are nil-safe no-ops when cfg.Obs is nil.
@@ -266,13 +275,20 @@ func (e *engine) initObs() {
 	e.trace.NameTrack(e.cfg.Slaves, 0, "jobtracker", "job")
 }
 
-// attemptRun is one in-flight map task attempt.
+// attemptRun is one in-flight map task attempt. It holds everything its
+// completion needs and embeds the completion event, so starting an attempt
+// allocates nothing else.
 type attemptRun struct {
+	ev          sim.Event
+	e           *engine
 	split       int
+	id          int // attempt id (keys the failure draws)
 	tt          *taskTracker
 	onGPU       bool
 	speculative bool
-	ev          *sim.Event
+	failed      bool // the plan fails this attempt partway
+	duration    float64
+	attempt     MapAttempt
 }
 
 // pendingEntry is one split occurrence in a jobTracker queue. gen pins the
@@ -294,7 +310,7 @@ type pendingEntry struct {
 type jobTracker struct {
 	cfg          ClusterConfig
 	exec         Executor
-	pendingSet   map[int]bool
+	pending      []bool
 	numPending   int
 	gen          []int
 	byNode       [][]pendingEntry
@@ -326,38 +342,61 @@ type jobTracker struct {
 }
 
 func newJobTracker(cfg ClusterConfig, exec Executor) *jobTracker {
+	maps := exec.NumSplits()
 	jt := &jobTracker{
 		cfg:             cfg,
 		exec:            exec,
-		totalMaps:       exec.NumSplits(),
+		totalMaps:       maps,
 		totalReduces:    exec.NumReducers(),
-		pendingSet:      map[int]bool{},
-		gen:             make([]int, exec.NumSplits()),
+		pending:         make([]bool, maps),
+		gen:             make([]int, maps),
 		byNode:          make([][]pendingEntry, cfg.Slaves),
 		nodeHead:        make([]int, cfg.Slaves),
-		mapResults:      make([]MapAttempt, exec.NumSplits()),
+		global:          make([]pendingEntry, 0, maps),
+		mapResults:      make([]MapAttempt, maps),
 		reduceOut:       make([][]kv.Pair, exec.NumReducers()),
 		reducesAssigned: make([]bool, exec.NumReducers()),
 		reduceFetched:   make([]bool, exec.NumReducers()),
-		fetchReports:    make([]int, exec.NumSplits()),
+		fetchReports:    make([]int, maps),
 		maxSpeedup:      1,
 	}
-	for i := 0; i < jt.totalMaps; i++ {
-		jt.enqueue(i)
+	// Size every node queue for its initial fill, carved from one array;
+	// requeues after failures grow a queue past its share by reallocating.
+	locs := make([][]int, maps)
+	perNode := make([]int, cfg.Slaves)
+	total := 0
+	for i := range locs {
+		locs[i] = exec.Locations(i)
+		for _, loc := range locs[i] {
+			if loc >= 0 && loc < cfg.Slaves {
+				perNode[loc]++
+				total++
+			}
+		}
+	}
+	backing := make([]pendingEntry, total)
+	for n, cnt := range perNode {
+		jt.byNode[n], backing = backing[:0:cnt], backing[cnt:]
+	}
+	for i, l := range locs {
+		jt.enqueueAt(i, l)
 	}
 	return jt
 }
 
-// enqueue appends a split to the pending queues (initial fill and requeues
-// after failures). A fresh generation invalidates any stale entries left
-// from the split's previous time in the queue.
-func (jt *jobTracker) enqueue(split int) {
+// enqueue appends a split to the pending queues (requeues after failures).
+func (jt *jobTracker) enqueue(split int) { jt.enqueueAt(split, jt.exec.Locations(split)) }
+
+// enqueueAt appends a split stored on locs to the pending queues. A fresh
+// generation invalidates any stale entries left from the split's previous
+// time in the queue.
+func (jt *jobTracker) enqueueAt(split int, locs []int) {
 	jt.gen[split]++
-	jt.pendingSet[split] = true
+	jt.pending[split] = true
 	jt.numPending++
 	entry := pendingEntry{split: split, gen: jt.gen[split]}
 	jt.global = append(jt.global, entry)
-	for _, loc := range jt.exec.Locations(split) {
+	for _, loc := range locs {
 		if loc >= 0 && loc < len(jt.byNode) {
 			jt.byNode[loc] = append(jt.byNode[loc], entry)
 		}
@@ -365,11 +404,11 @@ func (jt *jobTracker) enqueue(split int) {
 }
 
 func (jt *jobTracker) live(e pendingEntry) bool {
-	return jt.pendingSet[e.split] && jt.gen[e.split] == e.gen
+	return jt.pending[e.split] && jt.gen[e.split] == e.gen
 }
 
 func (jt *jobTracker) take(split int) {
-	delete(jt.pendingSet, split)
+	jt.pending[split] = false
 	jt.numPending--
 }
 
@@ -423,7 +462,7 @@ func (jt *jobTracker) takeMap(node int) (int, bool, bool) {
 
 // requeue returns a failed task to the pending queue.
 func (jt *jobTracker) requeue(split int) {
-	if !jt.pendingSet[split] {
+	if !jt.pending[split] {
 		jt.enqueue(split)
 	}
 }
@@ -457,6 +496,8 @@ type taskTracker struct {
 	lastHB       sim.Time   // last heartbeat the JobTracker saw
 	expiryArmed  bool       // an expiry check event is outstanding
 	hbEv         *sim.Event // the pending heartbeat event (canceled on crash)
+	hbFn         func()     // runs this node's heartbeat
+	expiryFn     func()     // runs this node's heartbeat-expiry check
 	hbLostUntil  sim.Time   // heartbeats suppressed until then
 	slowFactor   float64    // task-duration multiplier while slowed
 	slowUntil    sim.Time
@@ -483,11 +524,13 @@ type reduceRun struct {
 	ev *sim.Event
 	// Shuffle fetch state: next is the map output being fetched, burst the
 	// consecutive failures of that fetch (reset on success and after each
-	// report), and fetchAttempt the monotonic per-map fetch counter keying
-	// the transient-failure draws.
-	next         int
-	burst        int
-	fetchAttempt []int
+	// report), and attempt the fetches of output next so far, which keys
+	// the transient-failure draws. Fetches run strictly in map order and
+	// next never moves back, so one counter reset on each advance numbers
+	// every map's fetches exactly as a per-map counter would.
+	next    int
+	burst   int
+	attempt int
 }
 
 func (tt *taskTracker) observe(duration float64, onGPU bool) {
@@ -517,7 +560,7 @@ func (e *engine) heartbeat(node int) {
 	now := e.eng.Now()
 	if now < tt.hbLostUntil {
 		// Heartbeats suppressed; resume when the loss window closes.
-		tt.hbEv = e.eng.At(tt.hbLostUntil, func() { e.heartbeat(node) })
+		tt.hbEv = e.eng.At(tt.hbLostUntil, tt.hbFn)
 		return
 	}
 	if tt.deadDeclared {
@@ -590,7 +633,7 @@ func (e *engine) heartbeat(node int) {
 		}
 	}
 
-	tt.hbEv = e.eng.After(sim.Duration(e.cfg.HeartbeatSec), func() { e.heartbeat(node) })
+	tt.hbEv = e.eng.After(sim.Duration(e.cfg.HeartbeatSec), tt.hbFn)
 }
 
 // armExpiry schedules (at most one outstanding) heartbeat-expiry check for
@@ -601,18 +644,21 @@ func (e *engine) armExpiry(tt *taskTracker) {
 		return
 	}
 	tt.expiryArmed = true
-	deadline := tt.lastHB + sim.Time(e.cfg.HeartbeatExpirySec)
-	e.eng.At(deadline, func() {
-		tt.expiryArmed = false
-		if e.err != nil || e.jt.done() || tt.deadDeclared {
-			return
-		}
-		if e.eng.Now() < tt.lastHB+sim.Time(e.cfg.HeartbeatExpirySec) {
-			e.armExpiry(tt) // a heartbeat arrived meanwhile; track it
-			return
-		}
-		e.declareDead(tt, "heartbeat-expired")
-	})
+	e.eng.At(tt.lastHB+sim.Time(e.cfg.HeartbeatExpirySec), tt.expiryFn)
+}
+
+// checkExpiry is the armed expiry check: it declares the node dead unless a
+// heartbeat arrived within the window, in which case it re-arms.
+func (e *engine) checkExpiry(tt *taskTracker) {
+	tt.expiryArmed = false
+	if e.err != nil || e.jt.done() || tt.deadDeclared {
+		return
+	}
+	if e.eng.Now() < tt.lastHB+sim.Time(e.cfg.HeartbeatExpirySec) {
+		e.armExpiry(tt) // a heartbeat arrived meanwhile; track it
+		return
+	}
+	e.declareDead(tt, "heartbeat-expired")
 }
 
 // reregister readmits a tracker the JobTracker had written off (restart
@@ -646,33 +692,22 @@ func (e *engine) declareDead(tt *taskTracker, cause string) {
 
 	// Kill the node's in-flight map attempts. Ascending split order keeps
 	// requeue order deterministic.
-	for split := 0; split < len(e.splitDone); split++ {
-		runs := e.attempts[split]
-		if len(runs) == 0 {
-			continue
-		}
-		var kept []*attemptRun
-		lost := 0
-		for _, run := range runs {
+	for split, runs := range e.attempts {
+		kept := slices.DeleteFunc(runs, func(run *attemptRun) bool {
 			if run.tt != tt {
-				kept = append(kept, run)
-				continue
+				return false
 			}
 			run.ev.Cancel()
-			lost++
 			e.stats.LostAttempts++
 			e.met.failNodeLost.Inc()
-		}
-		if lost == 0 {
+			return true
+		})
+		if len(kept) == len(runs) {
 			continue
 		}
-		if len(kept) == 0 {
-			delete(e.attempts, split)
-			if !e.splitDone[split] {
-				e.jt.requeue(split)
-			}
-		} else {
-			e.attempts[split] = kept
+		e.attempts[split] = kept
+		if len(kept) == 0 && !e.splitDone[split] {
+			e.jt.requeue(split)
 		}
 	}
 	// Tasks parked in the node's GPU driver queue never started; requeue.
@@ -685,15 +720,14 @@ func (e *engine) declareDead(tt *taskTracker, cause string) {
 	tt.gpuQueue = nil
 
 	// Restart the node's reduce attempts elsewhere.
-	for p := 0; p < e.jt.totalReduces; p++ {
-		run, ok := e.reduceRuns[p]
-		if !ok || run.tt != tt {
+	for p, run := range e.reduceRuns {
+		if run == nil || run.tt != tt {
 			continue
 		}
 		if run.ev != nil {
 			run.ev.Cancel()
 		}
-		delete(e.reduceRuns, p)
+		e.reduceRuns[p] = nil
 		e.jt.reducesAssigned[p] = false
 		e.jt.reduceFetched[p] = false
 		e.stats.ReducesRestarted++
@@ -753,15 +787,15 @@ func (e *engine) applyFault(f faults.Fault) {
 			tt.hbEv.Cancel()
 		}
 		// Its tasks die silently; the JobTracker only learns at expiry.
-		for split := 0; split < len(e.splitDone); split++ {
-			for _, run := range e.attempts[split] {
+		for _, runs := range e.attempts {
+			for _, run := range runs {
 				if run.tt == tt {
 					run.ev.Cancel()
 				}
 			}
 		}
-		for p := 0; p < e.jt.totalReduces; p++ {
-			if run, ok := e.reduceRuns[p]; ok && run.tt == tt && run.ev != nil {
+		for _, run := range e.reduceRuns {
+			if run != nil && run.tt == tt && run.ev != nil {
 				run.ev.Cancel()
 			}
 		}
@@ -946,49 +980,55 @@ func (e *engine) startAttempt(tt *taskTracker, split int, onGPU, speculative boo
 	if failed {
 		duration *= 0.5 // detected mid-task
 	}
-	run := &attemptRun{split: split, tt: tt, onGPU: onGPU, speculative: speculative}
+	run := &attemptRun{e: e, split: split, id: attemptID, tt: tt, onGPU: onGPU,
+		speculative: speculative, failed: failed, duration: duration, attempt: attempt}
 	e.attempts[split] = append(e.attempts[split], run)
-	run.ev = e.eng.After(sim.Duration(duration), func() {
-		if onGPU {
-			tt.gpuFree++
-		} else {
-			tt.cpuFree++
+	e.eng.Schedule(&run.ev, sim.Duration(duration), run)
+}
+
+// Fire completes the attempt: it frees the slot and then commits, fails,
+// or (when a sibling already committed) discards the attempt.
+func (run *attemptRun) Fire() {
+	e, tt, split := run.e, run.tt, run.split
+	if run.onGPU {
+		tt.gpuFree++
+	} else {
+		tt.cpuFree++
+	}
+	e.dropAttempt(run)
+	switch {
+	case e.splitDone[split]:
+		// A sibling attempt already finished; nothing to record.
+		e.recordMapSpan(tt, split, run.onGPU, run.speculative, run.duration, "lost")
+	case run.failed:
+		e.attemptFailed(run)
+	default:
+		e.splitDone[split] = true
+		if run.speculative {
+			e.stats.SpeculativeWon++
+			e.met.specWon.Inc()
 		}
-		e.dropAttempt(run)
-		switch {
-		case e.splitDone[split]:
-			// A sibling attempt already finished; nothing to record.
-			e.recordMapSpan(tt, split, onGPU, speculative, duration, "lost")
-		case failed:
-			e.attemptFailed(run, attemptID, duration)
-		default:
-			e.splitDone[split] = true
-			if speculative {
-				e.stats.SpeculativeWon++
-				e.met.specWon.Inc()
+		// Kill the losing sibling attempts and free their slots
+		// (Hadoop kills the slower attempt when one commits).
+		for _, o := range e.attempts[split] {
+			o.ev.Cancel()
+			if o.onGPU {
+				o.tt.gpuFree++
+			} else {
+				o.tt.cpuFree++
 			}
-			// Kill the losing sibling attempts and free their slots
-			// (Hadoop kills the slower attempt when one commits).
-			for _, o := range e.attempts[split] {
-				o.ev.Cancel()
-				if o.onGPU {
-					o.tt.gpuFree++
-				} else {
-					o.tt.cpuFree++
-				}
-				e.drainGPUQueue(o.tt)
-			}
-			delete(e.attempts, split)
-			e.commitAttempt[split] = attemptID
-			e.completeMap(tt, split, onGPU, speculative, duration, attempt)
+			e.drainGPUQueue(o.tt)
 		}
-		e.drainGPUQueue(tt)
-	})
+		e.attempts[split] = slices.Delete(e.attempts[split], 0, len(e.attempts[split]))
+		e.commitAttempt[split] = run.id
+		e.completeMap(tt, split, run.onGPU, run.speculative, run.duration, run.attempt)
+	}
+	e.drainGPUQueue(tt)
 }
 
 // attemptFailed handles an injected attempt failure: retry accounting, GPU
 // demotion, the per-task attempt cap, and node blacklisting.
-func (e *engine) attemptFailed(run *attemptRun, attemptID int, duration float64) {
+func (e *engine) attemptFailed(run *attemptRun) {
 	split, tt := run.split, run.tt
 	e.stats.FailedAttempts++
 	e.failCount[split]++
@@ -1002,9 +1042,9 @@ func (e *engine) attemptFailed(run *attemptRun, attemptID int, duration float64)
 	} else {
 		e.met.failInjCPU.Inc()
 	}
-	e.recordMapSpan(tt, split, run.onGPU, run.speculative, duration, "failed")
+	e.recordMapSpan(tt, split, run.onGPU, run.speculative, run.duration, "failed")
 	e.trace.Instant(obs.CatFault, "attempt-fail", e.eng.Now(), tt.node, laneHeartbeat,
-		obs.Int("split", split), obs.Int("attempt", attemptID))
+		obs.Int("split", split), obs.Int("attempt", run.id))
 	if e.failCount[split] >= e.cfg.MaxTaskAttempts {
 		e.fail(&JobFailure{
 			Kind:     FailTaskAttemptsExhausted,
@@ -1067,12 +1107,9 @@ func (e *engine) dropAttempt(run *attemptRun) {
 	runs := e.attempts[run.split]
 	for i, o := range runs {
 		if o == run {
-			e.attempts[run.split] = append(runs[:i], runs[i+1:]...)
-			break
+			e.attempts[run.split] = slices.Delete(runs, i, i+1)
+			return
 		}
-	}
-	if len(e.attempts[run.split]) == 0 {
-		delete(e.attempts, run.split)
 	}
 }
 
@@ -1084,13 +1121,15 @@ func (e *engine) drainGPUQueue(tt *taskTracker) {
 	}
 	if tt.gpuFree > 0 && len(tt.gpuQueue) > 0 {
 		next := tt.gpuQueue[0]
-		tt.gpuQueue = tt.gpuQueue[1:]
+		// Shift rather than reslice, so the queue keeps its capacity and
+		// steady-state pushes do not allocate.
+		tt.gpuQueue = tt.gpuQueue[:copy(tt.gpuQueue, tt.gpuQueue[1:])]
 		now := e.eng.Now()
 		wait := float64(now - next.at)
 		e.stats.GPUQueueWaitSec += wait
 		e.met.queueDepth.Add(-1)
 		e.met.queueWait.Add(wait)
-		if wait > 0 {
+		if wait > 0 && e.trace != nil {
 			e.trace.Span(obs.CatGPUQueueWait, "queue-"+strconv.Itoa(next.split), next.at, now,
 				tt.node, laneGPUQueue, obs.Int("split", next.split))
 		}
@@ -1201,14 +1240,26 @@ func (e *engine) hintReduces() {
 		if e.jt.reduceFetched[p] {
 			continue
 		}
-		inputs := make([][]kv.Pair, 0, e.jt.totalMaps)
-		for _, res := range e.jt.mapResults {
-			if res.Partitions != nil && p < len(res.Partitions) {
-				inputs = append(inputs, res.Partitions[p])
-			}
-		}
-		e.pre.PrefetchReduce(p, inputs)
+		e.pre.PrefetchReduce(p, e.jt.reduceInputs(p))
 	}
+}
+
+// reduceInputs gathers partition p of every committed map output, in map
+// order. It is nil when no map output is materialized, as with a
+// timing-only executor.
+func (jt *jobTracker) reduceInputs(p int) [][]kv.Pair {
+	var inputs [][]kv.Pair
+	for i := range jt.mapResults {
+		parts := jt.mapResults[i].Partitions
+		if parts == nil || p >= len(parts) {
+			continue
+		}
+		if inputs == nil {
+			inputs = make([][]kv.Pair, 0, len(jt.mapResults))
+		}
+		inputs = append(inputs, parts[p])
+	}
+	return inputs
 }
 
 // recordKernelDetail emits kernel sub-spans inside a winning GPU attempt
@@ -1276,11 +1327,8 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 				run.ev = e.eng.After(sim.Duration(e.cfg.HeartbeatSec), gate)
 				return
 			}
-			if run.fetchAttempt == nil {
-				run.fetchAttempt = make([]int, e.jt.totalMaps)
-			}
-			att := run.fetchAttempt[m]
-			run.fetchAttempt[m]++
+			att := run.attempt
+			run.attempt++
 			if att > 0 {
 				e.stats.Refetches++
 				e.met.refetches.Inc()
@@ -1293,6 +1341,7 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 			if !failed && !corrupt {
 				run.next++
 				run.burst = 0
+				run.attempt = 0
 				continue
 			}
 			e.stats.FetchFailures++
@@ -1322,13 +1371,7 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 			return
 		}
 		e.jt.reduceFetched[p] = true
-		inputs := make([][]kv.Pair, 0, e.jt.totalMaps)
-		for _, res := range e.jt.mapResults {
-			if res.Partitions != nil && p < len(res.Partitions) {
-				inputs = append(inputs, res.Partitions[p])
-			}
-		}
-		work, err := e.exec.ReduceTask(p, inputs)
+		work, err := e.exec.ReduceTask(p, e.jt.reduceInputs(p))
 		if err != nil {
 			e.fail(fmt.Errorf("mr: reduce task %d: %w", p, err))
 			return
@@ -1347,17 +1390,19 @@ func (e *engine) launchReduce(tt *taskTracker, p int) {
 			e.stats.ShuffleResidualSec += resid
 			e.met.shuffleResid.Add(resid)
 		}
-		lane := laneReduceBase + p
-		e.trace.NameTrack(tt.node, lane, "node"+strconv.Itoa(tt.node), "reduce-"+strconv.Itoa(p))
-		e.trace.Span(obs.CatShuffle, "shuffle-"+strconv.Itoa(p), assign, sim.Time(shuffleDone),
-			tt.node, lane, obs.Int("partition", p))
-		e.trace.Span(obs.CatReduce, "reduce-"+strconv.Itoa(p), sim.Time(shuffleDone),
-			sim.Time(shuffleDone+work.ComputeTime), tt.node, lane, obs.Int("partition", p))
+		if e.trace != nil {
+			lane := laneReduceBase + p
+			e.trace.NameTrack(tt.node, lane, "node"+strconv.Itoa(tt.node), "reduce-"+strconv.Itoa(p))
+			e.trace.Span(obs.CatShuffle, "shuffle-"+strconv.Itoa(p), assign, sim.Time(shuffleDone),
+				tt.node, lane, obs.Int("partition", p))
+			e.trace.Span(obs.CatReduce, "reduce-"+strconv.Itoa(p), sim.Time(shuffleDone),
+				sim.Time(shuffleDone+work.ComputeTime), tt.node, lane, obs.Int("partition", p))
+		}
 		run.ev = e.eng.At(sim.Time(shuffleDone+work.ComputeTime), func() {
 			if e.reduceRuns[p] != run {
 				return
 			}
-			delete(e.reduceRuns, p)
+			e.reduceRuns[p] = nil
 			tt.redFree++
 			e.jt.reduceOut[p] = work.Output
 			e.jt.reducesDone++

@@ -1,6 +1,8 @@
 package mr
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -176,5 +178,34 @@ func TestSingleTaskJob(t *testing.T) {
 	}
 	if stats.MapsOnCPU+stats.MapsOnGPU != 1 {
 		t.Fatal("single task lost")
+	}
+}
+
+// TestSampledLocalityMatchesLocations pins the HDFS-style placement that
+// Locations reports and checks that MapTask charges the remote-read
+// penalty exactly when the node is not among those locations.
+func TestSampledLocalityMatchesLocations(t *testing.T) {
+	for _, slaves := range []int{1, 2, 5, 16} {
+		x := &SampledExecutor{Splits: 64, Slaves: slaves, CPUDur: []float64{1}, GPUDur: []float64{1}, RemoteReadPenalty: 0.5}
+		for split := 0; split < x.Splits; split++ {
+			want := []int{0}
+			if slaves > 1 {
+				want = []int{split % slaves, (split*7 + 3) % slaves, (split*13 + 5) % slaves}
+			}
+			locs := x.Locations(split)
+			if !reflect.DeepEqual(locs, want) {
+				t.Fatalf("slaves=%d split=%d: Locations = %v, want %v", slaves, split, locs, want)
+			}
+			for node := 0; node < slaves; node++ {
+				a, err := x.MapTask(split, false, node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if remote := a.Duration != 1; remote == slices.Contains(locs, node) {
+					t.Fatalf("slaves=%d split=%d node=%d: duration %v disagrees with Locations %v",
+						slaves, split, node, a.Duration, locs)
+				}
+			}
+		}
 	}
 }

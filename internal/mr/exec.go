@@ -548,10 +548,23 @@ func (x *SampledExecutor) Locations(split int) []int {
 	if x.Slaves <= 1 {
 		return []int{0}
 	}
-	a := split % x.Slaves
-	b := (split*7 + 3) % x.Slaves
-	c := (split*13 + 5) % x.Slaves
+	a, b, c := x.replicas(split)
 	return []int{a, b, c}
+}
+
+// replicas is the placement formula behind Locations for Slaves > 1.
+func (x *SampledExecutor) replicas(split int) (a, b, c int) {
+	return split % x.Slaves, (split*7 + 3) % x.Slaves, (split*13 + 5) % x.Slaves
+}
+
+// isLocal reports whether node holds a replica of split, without building
+// the Locations slice.
+func (x *SampledExecutor) isLocal(split, node int) bool {
+	if x.Slaves <= 1 {
+		return node == 0
+	}
+	a, b, c := x.replicas(split)
+	return node == a || node == b || node == c
 }
 
 // MapTask implements Executor.
@@ -563,14 +576,7 @@ func (x *SampledExecutor) MapTask(split int, onGPU bool, node int) (MapAttempt, 
 		dur = x.CPUDur[split%len(x.CPUDur)]
 	}
 	dur *= x.jitterFactor(split) * x.nodeFactor(node)
-	local := false
-	for _, loc := range x.Locations(split) {
-		if loc == node {
-			local = true
-			break
-		}
-	}
-	if !local {
+	if !x.isLocal(split, node) {
 		dur += x.RemoteReadPenalty
 	}
 	return MapAttempt{Duration: dur, OutputBytes: x.MapOutputBytes}, nil
@@ -587,11 +593,4 @@ func (x *SampledExecutor) ReduceTask(p int, inputs [][]kv.Pair) (ReduceWork, err
 		ShuffleTime: totalBytes / (gbs * 1e9),
 		ComputeTime: x.ReduceCompute,
 	}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

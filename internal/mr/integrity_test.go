@@ -301,3 +301,71 @@ func TestIntegrityMachineryFreeOnCleanPath(t *testing.T) {
 		}
 	}
 }
+
+// TestFetchFailAcrossMapReexecutionPinned pins the fetch-failure accounting
+// of plans whose failures outlast a map re-execution: a reducer's fetch
+// attempts of one map output keep counting across the output's loss and
+// recommit, so the attempt-keyed draws after the recommit are the ones the
+// plan targets. The expected counts were recorded when every reducer kept a
+// per-map attempt table; one counter per reducer must reproduce them.
+func TestFetchFailAcrossMapReexecutionPinned(t *testing.T) {
+	// In the sampled job a map takes far longer than the fetch backoff, so
+	// the reducers poll through the lost output's re-execution.
+	runSampled := func(t *testing.T, plan *faults.Plan) (*JobStats, error) {
+		return RunJob(ClusterConfig{
+			Slaves: 4, Node: NodeConfig{MapSlots: 2, ReduceSlots: 1, GPUs: 1},
+			Scheduler: GPUFirst, HeartbeatSec: 0.1, Seed: 3, Faults: plan,
+		}, uniformExec(40, 4, 4, 2, 0.5))
+	}
+	cases := []struct {
+		name                                    string
+		run                                     func(*testing.T, *faults.Plan) (*JobStats, error)
+		plan                                    *faults.Plan
+		fetchFailures, refetches, lost, reexecs int
+		makespan                                float64
+	}{
+		{
+			// 9 failures declare map 0 lost; attempts 9-11 fail again
+			// after the recommit.
+			name: "wc-targeted-outlasting-recommit",
+			run:  runWCFaulted,
+			plan: &faults.Plan{Faults: []faults.Fault{
+				{Kind: faults.FetchFail, Task: 0, Part: 0, Times: 12},
+				{Kind: faults.FetchFail, Task: 2, Part: -1, Times: 4},
+			}},
+			fetchFailures: 24, refetches: 24, lost: 2, reexecs: 2, makespan: 0.0770030777857143,
+		},
+		{
+			name: "wc-targeted-plus-background-rate",
+			run:  runWCFaulted,
+			plan: &faults.Plan{
+				Faults:        []faults.Fault{{Kind: faults.FetchFail, Task: 1, Part: 1, Times: 10}},
+				FetchFailRate: 0.2, Seed: 9,
+			},
+			fetchFailures: 21, refetches: 21, lost: 1, reexecs: 1, makespan: 0.05400894178571429,
+		},
+		{
+			name: "sampled-reducers-wait-out-reexecution",
+			run:  runSampled,
+			plan: &faults.Plan{Faults: []faults.Fault{
+				{Kind: faults.FetchFail, Task: 3, Part: 0, Times: 14},
+				{Kind: faults.FetchFail, Task: 5, Part: -1, Times: 5},
+			}},
+			fetchFailures: 34, refetches: 34, lost: 2, reexecs: 2, makespan: 14.425000000000004,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.run(t, tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.FetchFailures != tc.fetchFailures || s.Refetches != tc.refetches ||
+				s.MapOutputsLost != tc.lost || s.MapsReexecuted != tc.reexecs || s.Makespan != tc.makespan {
+				t.Errorf("FetchFailures/Refetches/MapOutputsLost/MapsReexecuted/Makespan = %d/%d/%d/%d/%v, want %d/%d/%d/%d/%v",
+					s.FetchFailures, s.Refetches, s.MapOutputsLost, s.MapsReexecuted, s.Makespan,
+					tc.fetchFailures, tc.refetches, tc.lost, tc.reexecs, tc.makespan)
+			}
+		})
+	}
+}

@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -22,10 +21,20 @@ type Duration = Time
 type Event struct {
 	at   Time
 	seq  uint64
-	fn   func()
+	h    Handler
 	dead bool
-	idx  int
 }
+
+// Handler is what an event runs when it fires. A hot caller can implement
+// it on its own state and embed the Event there (see Schedule), so that
+// scheduling allocates nothing.
+type Handler interface{ Fire() }
+
+// funcHandler adapts a plain callback; a func value is pointer-shaped, so
+// wrapping it in the interface does not allocate.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
 
 // Time reports when the event fires (or was scheduled to fire).
 func (e *Event) Time() Time { return e.at }
@@ -34,39 +43,20 @@ func (e *Event) Time() Time { return e.at }
 // fired or cancelled event is a no-op.
 func (e *Event) Cancel() { e.dead = true }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before is the queue order: (at, seq), a strict total order because seq
+// is unique, so every correct heap pops events in the same sequence.
+func (e *Event) before(o *Event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine.
 type Engine struct {
 	now    Time
-	queue  eventQueue
+	queue  []*Event // binary min-heap under Event.before
 	seq    uint64
 	fired  uint64
 	limit  uint64 // safety valve against runaway simulations; 0 = unlimited
@@ -91,12 +81,8 @@ func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it indicates a logic error in the caller.
 func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.queue, ev)
+	ev := &Event{}
+	e.schedule(ev, t, funcHandler(fn))
 	return ev
 }
 
@@ -109,6 +95,72 @@ func (e *Engine) After(d Duration, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
+// Schedule is After for a caller-owned event: it queues ev to run h d
+// seconds from now, allocating nothing, so a hot caller can embed the
+// Event in its own state. ev must not be queued already, including as a
+// cancelled event that has not yet reached the head of the queue.
+func (e *Engine) Schedule(ev *Event, d Duration, h Handler) {
+	if d < 0 {
+		d = 0
+	}
+	e.schedule(ev, e.now+d, h)
+}
+
+func (e *Engine) schedule(ev *Event, t Time, h Handler) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	*ev = Event{at: t, seq: e.seq, h: h}
+	e.seq++
+	e.push(ev)
+}
+
+// push adds ev to the heap, sifting it up from the last slot.
+func (e *Engine) push(ev *Event) {
+	q := append(e.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	e.queue = q
+}
+
+// pop removes and returns the earliest event; the queue must be non-empty.
+func (e *Engine) pop() *Event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	e.queue = q
+	return top
+}
+
 // Halt stops the run loop after the current event completes.
 func (e *Engine) Halt() { e.halted = true }
 
@@ -117,7 +169,7 @@ func (e *Engine) Halt() { e.halted = true }
 func (e *Engine) Run() Time {
 	e.halted = false
 	for len(e.queue) > 0 && !e.halted {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.pop()
 		if ev.dead {
 			continue
 		}
@@ -129,7 +181,7 @@ func (e *Engine) Run() Time {
 		if e.limit > 0 && e.fired > e.limit {
 			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", e.limit, e.now))
 		}
-		ev.fn()
+		ev.h.Fire()
 	}
 	return e.now
 }
@@ -143,7 +195,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if ev.at > deadline {
 			break
 		}
-		heap.Pop(&e.queue)
+		e.pop()
 		if ev.dead {
 			continue
 		}
@@ -152,7 +204,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if e.limit > 0 && e.fired > e.limit {
 			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", e.limit, e.now))
 		}
-		ev.fn()
+		ev.h.Fire()
 	}
 	if e.now < deadline {
 		e.now = deadline

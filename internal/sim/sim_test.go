@@ -342,3 +342,158 @@ func TestEngineManyEventsStress(t *testing.T) {
 		t.Fatalf("Fired = %d, want 5000", e.Fired())
 	}
 }
+
+// countingHandler embeds its own event, the way a hot caller uses Schedule.
+type countingHandler struct {
+	ev    Event
+	fires []Time
+	e     *Engine
+}
+
+func (h *countingHandler) Fire() { h.fires = append(h.fires, h.e.Now()) }
+
+func TestEngineScheduleCallerOwnedEvent(t *testing.T) {
+	e := NewEngine()
+	a, b, c := &countingHandler{e: e}, &countingHandler{e: e}, &countingHandler{e: e}
+	e.At(2, func() {
+		e.Schedule(&a.ev, 3, a)
+		e.Schedule(&b.ev, -1, b) // clamped to now, after this callback
+		e.Schedule(&c.ev, 1, c)
+		c.ev.Cancel()
+	})
+	e.Run()
+	if len(a.fires) != 1 || a.fires[0] != 5 || a.ev.Time() != 5 {
+		t.Fatalf("a fired at %v (event time %v), want [5]", a.fires, a.ev.Time())
+	}
+	if len(b.fires) != 1 || b.fires[0] != 2 {
+		t.Fatalf("b fired at %v, want [2]", b.fires)
+	}
+	if len(c.fires) != 0 {
+		t.Fatalf("cancelled c fired at %v", c.fires)
+	}
+	// A fired event may be scheduled again, and scheduling allocates nothing.
+	a.fires = make([]Time, 0, 1000)
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Schedule(&a.ev, 1, a)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Schedule+Run allocated %v objects per event, want 0", allocs)
+	}
+}
+
+// TestEngineHeapOrderMatchesSortedReference drives the heap with a random
+// workload and checks the firing order against a reference that sorts the
+// same events by (at, seq): many equal timestamps, random cancellation,
+// events scheduled from inside callbacks and between RunUntil chunks, and
+// RunUntil deadlines that split equal-time groups' neighbours.
+func TestEngineHeapOrderMatchesSortedReference(t *testing.T) {
+	type rec struct {
+		at               Time
+		seq              int
+		ev               *Event
+		fired, cancelled bool
+	}
+	const initial, total = 4000, 12000
+	e := NewEngine()
+	r := NewRNG(20150615)
+	var recs []*rec
+	var fired []int
+	cancelRandom := func() {
+		rc := recs[r.Intn(len(recs))]
+		rc.ev.Cancel()
+		if !rc.fired {
+			rc.cancelled = true
+		}
+	}
+	var schedule func(at Time)
+	schedule = func(at Time) {
+		rc := &rec{at: at, seq: len(recs)}
+		recs = append(recs, rc)
+		rc.ev = e.At(at, func() {
+			if e.Now() != rc.at {
+				t.Fatalf("event %d fired at %v, scheduled for %v", rc.seq, e.Now(), rc.at)
+			}
+			rc.fired = true
+			fired = append(fired, rc.seq)
+			for k := r.Intn(3); k > 0 && len(recs) < total; k-- {
+				schedule(e.Now() + Time(r.Intn(4))) // often equal to now
+			}
+			if r.Intn(4) == 0 {
+				cancelRandom()
+			}
+		})
+	}
+	for i := 0; i < initial; i++ {
+		schedule(Time(r.Intn(50)))
+	}
+	for deadline := Time(5); e.Pending() > 0; deadline += 5 {
+		e.RunUntil(deadline)
+		for _, rc := range recs {
+			if rc.fired && rc.at > deadline {
+				t.Fatalf("RunUntil(%v) fired event %d at %v", deadline, rc.seq, rc.at)
+			}
+			if !rc.fired && !rc.cancelled && rc.at <= deadline {
+				t.Fatalf("RunUntil(%v) left live event %d at %v unfired", deadline, rc.seq, rc.at)
+			}
+		}
+		for k := r.Intn(20); k > 0 && len(recs) < total; k-- {
+			schedule(e.Now() + Time(r.Intn(10)))
+		}
+		for k := r.Intn(5); k > 0; k-- {
+			cancelRandom()
+		}
+	}
+	if len(recs) < 10_000 {
+		t.Fatalf("workload scheduled only %d events", len(recs))
+	}
+	var want []*rec
+	for _, rc := range recs {
+		if !rc.cancelled {
+			want = append(want, rc)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d events, reference has %d", len(fired), len(want))
+	}
+	for i, rc := range want {
+		if fired[i] != rc.seq {
+			t.Fatalf("firing %d: event %d, reference says %d (at %v)", i, fired[i], rc.seq, rc.at)
+		}
+	}
+	if e.Fired() != uint64(len(want)) {
+		t.Fatalf("Fired = %d, want %d", e.Fired(), len(want))
+	}
+}
+
+// BenchmarkEngineEvents measures the event loop alone: a steady queue of
+// 1024 pending events, each firing callback scheduling its successor at a
+// pseudo-random offset (with frequent ties), so every event is one push
+// and one pop on a heap of constant size.
+func BenchmarkEngineEvents(b *testing.B) {
+	const depth = 1024
+	e := NewEngine()
+	r := NewRNG(1)
+	left := b.N
+	var fire func()
+	fire = func() {
+		if left > 0 {
+			left--
+			e.After(Duration(r.Intn(64)), fire)
+		}
+	}
+	for i := 0; i < depth; i++ {
+		e.At(Time(r.Intn(64)), fire)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	b.ReportMetric(float64(e.Fired())/b.Elapsed().Seconds(), "events/s")
+}
