@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"strings"
+	"slices"
 
 	"repro/internal/minic"
 )
@@ -52,297 +52,34 @@ func (a *analyzer) report(code string, pos minic.Pos, msg, fix string) {
 
 // ---- Region discovery ----
 
-// regionInfo is one `#pragma mapreduce` region with its clause list
-// re-scanned (duplicates preserved, unlike the translator's Directive) and
-// names resolved against visible symbols.
+// regionInfo is one `#pragma mapreduce` region: its clause values as minic
+// reads them (filled even when the directive is defective), the
+// directive's clause-level problems, and the symbols visible at the region.
 type regionInfo struct {
 	pragma *minic.PragmaStmt
-	fn     *minic.FuncDecl
-
-	clauses  []clauseTok
-	combiner bool
-	// kindClauses counts mapper/combiner markers (pairing check).
-	kindClauses int
-
-	key, value     string
-	keyIn, valueIn string
-	keyLen, valLen int
-
-	firstPrivate []string
-	sharedRO     []string
-	texture      []string
+	*minic.Directive
+	problems []minic.DirectiveProblem
 
 	syms map[string]*minic.Symbol
 }
 
-func (r *regionInfo) kindName() string {
-	if r.combiner {
-		return "combiner"
-	}
-	return "mapper"
-}
-
-func (r *regionInfo) inFirstPrivate(name string) bool { return contains(r.firstPrivate, name) }
+func (r *regionInfo) inFirstPrivate(name string) bool { return slices.Contains(r.FirstPrivate, name) }
 
 func (r *regionInfo) inReadOnlyClause(name string) bool {
-	return contains(r.sharedRO, name) || contains(r.texture, name)
-}
-
-func contains(list []string, name string) bool {
-	for _, n := range list {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(r.SharedRO, name) || slices.Contains(r.Texture, name)
 }
 
 func (a *analyzer) mapreduceRegions() []*regionInfo {
 	var out []*regionInfo
-	for _, fn := range a.prog.Funcs {
-		fn := fn
-		walkStmts(fn.Body, func(s minic.Stmt) {
-			p, ok := s.(*minic.PragmaStmt)
-			if !ok || !p.IsMapReduce() {
-				return
-			}
-			r := &regionInfo{pragma: p, fn: fn, syms: a.visibleSymbols(fn)}
-			r.clauses = scanClauses(p.Text)
-			for _, cl := range r.clauses {
-				switch cl.name {
-				case "mapper":
-					r.kindClauses++
-				case "combiner":
-					r.combiner = true
-					r.kindClauses++
-				case "key":
-					r.key = cl.one()
-				case "value":
-					r.value = cl.one()
-				case "keyin":
-					r.keyIn = cl.one()
-				case "valuein":
-					r.valueIn = cl.one()
-				case "keylength":
-					r.keyLen = cl.oneInt()
-				case "vallength":
-					r.valLen = cl.oneInt()
-				case "firstprivate":
-					r.firstPrivate = append(r.firstPrivate, cl.args...)
-				case "sharedRO", "sharedro":
-					r.sharedRO = append(r.sharedRO, cl.args...)
-				case "texture":
-					r.texture = append(r.texture, cl.args...)
-				}
-			}
-			out = append(out, r)
-		})
-	}
-	return out
-}
-
-// visibleSymbols maps names to symbols visible inside fn: file-scope
-// globals, parameters, and every nested declaration (mirrors the
-// translator's resolution rules).
-func (a *analyzer) visibleSymbols(fn *minic.FuncDecl) map[string]*minic.Symbol {
-	out := map[string]*minic.Symbol{}
-	for _, g := range a.prog.Globals {
-		for _, d := range g.Decls {
-			out[d.Name] = d.Sym
-		}
-	}
-	for _, p := range fn.Params {
-		out[p.Name] = p.Sym
-	}
-	walkStmts(fn.Body, func(s minic.Stmt) {
-		if ds, ok := s.(*minic.DeclStmt); ok {
-			for _, d := range ds.Decls {
-				out[d.Name] = d.Sym
-			}
-		}
-	})
-	return out
-}
-
-// ---- Clause scanning ----
-
-// clauseTok is one `name(arg, ...)` group from a pragma line. Unlike the
-// translator's parser it keeps duplicates and malformed pieces so the
-// directive verifier can report them.
-type clauseTok struct {
-	name string
-	args []string
-	bad  bool // unbalanced parentheses or stray characters
-}
-
-func (c clauseTok) one() string {
-	if len(c.args) == 1 {
-		return c.args[0]
-	}
-	return ""
-}
-
-func (c clauseTok) oneInt() int {
-	s := c.one()
-	n := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return 0
-		}
-		n = n*10 + int(s[i]-'0')
-	}
-	return n
-}
-
-// scanClauses tokenizes the pragma text after "mapreduce".
-func scanClauses(text string) []clauseTok {
-	text = strings.TrimSpace(text)
-	text = strings.TrimPrefix(text, "mapreduce")
-	var out []clauseTok
-	i, n := 0, len(text)
-	for i < n {
-		for i < n && (text[i] == ' ' || text[i] == '\t' || text[i] == ',') {
-			i++
-		}
-		if i >= n {
-			break
-		}
-		start := i
-		for i < n && isWord(text[i]) {
-			i++
-		}
-		if i == start {
-			out = append(out, clauseTok{name: string(text[i]), bad: true})
-			i++
+	for _, p := range minic.FindPragmas(a.prog) {
+		if !p.IsMapReduce() {
 			continue
 		}
-		cl := clauseTok{name: text[start:i]}
-		for i < n && text[i] == ' ' {
-			i++
-		}
-		if i < n && text[i] == '(' {
-			depth := 1
-			i++
-			argStart := i
-			for i < n && depth > 0 {
-				switch text[i] {
-				case '(':
-					depth++
-				case ')':
-					depth--
-				}
-				if depth > 0 {
-					i++
-				}
-			}
-			if depth != 0 {
-				cl.bad = true
-				cl.args = splitArgs(text[argStart:])
-				i = n
-			} else {
-				cl.args = splitArgs(text[argStart:i])
-				i++
-			}
-		}
-		out = append(out, cl)
+		d, problems := minic.ParseDirective(p.Text)
+		out = append(out, &regionInfo{pragma: p.PragmaStmt, Directive: d,
+			problems: problems, syms: minic.VisibleSymbols(p.Func, a.prog)})
 	}
 	return out
-}
-
-func splitArgs(raw string) []string {
-	var out []string
-	for _, a := range strings.Split(raw, ",") {
-		a = strings.TrimSpace(a)
-		if a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func isWord(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-}
-
-// ---- AST walking ----
-
-// walkStmts visits s and every nested statement, in source order.
-func walkStmts(s minic.Stmt, visit func(minic.Stmt)) {
-	if s == nil {
-		return
-	}
-	visit(s)
-	switch st := s.(type) {
-	case *minic.Block:
-		for _, inner := range st.Stmts {
-			walkStmts(inner, visit)
-		}
-	case *minic.If:
-		walkStmts(st.Then, visit)
-		walkStmts(st.Else, visit)
-	case *minic.While:
-		walkStmts(st.Body, visit)
-	case *minic.For:
-		walkStmts(st.Init, visit)
-		walkStmts(st.Body, visit)
-	case *minic.PragmaStmt:
-		walkStmts(st.Body, visit)
-	}
-}
-
-// walkCalls visits every Call expression nested anywhere under s.
-func walkCalls(s minic.Stmt, visit func(*minic.Call)) {
-	var walkExpr func(e minic.Expr)
-	walkExpr = func(e minic.Expr) {
-		if e == nil {
-			return
-		}
-		switch x := e.(type) {
-		case *minic.Unary:
-			walkExpr(x.X)
-		case *minic.Postfix:
-			walkExpr(x.X)
-		case *minic.Binary:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		case *minic.Assign:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		case *minic.Cond:
-			walkExpr(x.C)
-			walkExpr(x.T)
-			walkExpr(x.F)
-		case *minic.Call:
-			visit(x)
-			for _, arg := range x.Args {
-				walkExpr(arg)
-			}
-		case *minic.Index:
-			walkExpr(x.X)
-			walkExpr(x.Idx)
-		case *minic.Cast:
-			walkExpr(x.X)
-		}
-	}
-	walkStmts(s, func(st minic.Stmt) {
-		switch x := st.(type) {
-		case *minic.ExprStmt:
-			walkExpr(x.X)
-		case *minic.DeclStmt:
-			for _, d := range x.Decls {
-				walkExpr(d.Init)
-			}
-		case *minic.If:
-			walkExpr(x.Cond)
-		case *minic.While:
-			walkExpr(x.Cond)
-		case *minic.For:
-			walkExpr(x.Cond)
-			walkExpr(x.Post)
-		case *minic.Return:
-			walkExpr(x.X)
-		}
-	})
 }
 
 // ---- Access events ----

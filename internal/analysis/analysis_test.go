@@ -25,25 +25,25 @@ func codes(diags []Diagnostic) []string {
 }
 
 func TestScanClausesKeepsDuplicates(t *testing.T) {
-	cls := scanClauses("mapreduce mapper key(a) key(b) firstprivate(x, y)")
+	cls := minic.ScanClauses("mapreduce mapper key(a) key(b) firstprivate(x, y)")
 	var names []string
 	for _, c := range cls {
-		names = append(names, c.name)
+		names = append(names, c.Name)
 	}
 	want := "mapper key key firstprivate"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("clause names = %q, want %q", got, want)
 	}
-	if got := strings.Join(cls[3].args, ","); got != "x,y" {
+	if got := strings.Join(cls[3].Args, ","); got != "x,y" {
 		t.Errorf("firstprivate args = %q, want x,y", got)
 	}
 }
 
 func TestScanClausesMarksUnbalanced(t *testing.T) {
-	cls := scanClauses("mapreduce mapper key(a")
+	cls := minic.ScanClauses("mapreduce mapper key(a")
 	bad := false
 	for _, c := range cls {
-		bad = bad || c.bad
+		bad = bad || c.Bad
 	}
 	if !bad {
 		t.Errorf("unbalanced parens not marked bad: %+v", cls)
@@ -230,12 +230,13 @@ func TestConstIntValueFolding(t *testing.T) {
 	prog := mustParse(t, `int main() { int a[10]; a[0] = 2 * 3 + 1; return a[0]; }`)
 	var got int64
 	found := false
-	walkExprs(prog.Func("main").Body, func(e minic.Expr) {
-		if as, ok := e.(*minic.Assign); ok {
+	minic.Inspect(prog.Func("main").Body, func(n minic.Node) bool {
+		if as, ok := n.(*minic.Assign); ok {
 			if v, ok2 := constIntValue(as.R); ok2 {
 				got, found = v, true
 			}
 		}
+		return true
 	})
 	if !found || got != 7 {
 		t.Errorf("constIntValue(2*3+1) = %d, %v; want 7, true", got, found)

@@ -68,16 +68,15 @@ func (a *analyzer) dataflowPass(fn *minic.FuncDecl) {
 // localDecls returns fn's local variable declarations in source order.
 func localDecls(fn *minic.FuncDecl) []symDecl {
 	var out []symDecl
-	walkStmts(fn.Body, func(s minic.Stmt) {
-		ds, ok := s.(*minic.DeclStmt)
-		if !ok {
-			return
-		}
-		for _, d := range ds.Decls {
-			if d.Sym != nil && d.Sym.Kind == minic.SymVar && !d.Sym.Global {
-				out = append(out, symDecl{sym: d.Sym, pos: ds.Pos})
+	minic.Inspect(fn.Body, func(n minic.Node) bool {
+		if ds, ok := n.(*minic.DeclStmt); ok {
+			for _, d := range ds.Decls {
+				if d.Sym != nil && d.Sym.Kind == minic.SymVar && !d.Sym.Global {
+					out = append(out, symDecl{sym: d.Sym, pos: ds.Pos})
+				}
 			}
 		}
+		return true
 	})
 	return out
 }

@@ -10,47 +10,18 @@ import (
 // translator trusts directives; these checks catch the mistakes §3.2 leaves
 // as undefined behavior. Checks run in stages and stop at the first stage
 // that reports: later checks would only cascade from the same root cause.
-
-// clauseSpec describes one legal clause.
-type clauseSpec struct {
-	kind clauseKind
-	// combinerOnly restricts the clause to combiner regions.
-	combinerOnly bool
-}
-
-type clauseKind int
-
-const (
-	clauseMarker clauseKind = iota // mapper/combiner: no arguments
-	clauseIdent                    // exactly one identifier argument
-	clauseInt                      // exactly one integer argument
-	clauseList                     // one or more identifier arguments
-)
-
-var clauseSpecs = map[string]clauseSpec{
-	"mapper":       {kind: clauseMarker},
-	"combiner":     {kind: clauseMarker},
-	"key":          {kind: clauseIdent},
-	"value":        {kind: clauseIdent},
-	"keyin":        {kind: clauseIdent, combinerOnly: true},
-	"valuein":      {kind: clauseIdent, combinerOnly: true},
-	"keylength":    {kind: clauseInt},
-	"vallength":    {kind: clauseInt},
-	"kvpairs":      {kind: clauseInt},
-	"blocks":       {kind: clauseInt},
-	"threads":      {kind: clauseInt},
-	"firstprivate": {kind: clauseList},
-	"sharedRO":     {kind: clauseList},
-	"sharedro":     {kind: clauseList},
-	"texture":      {kind: clauseList},
-}
+// The clause-level stages (HD101..HD105) are minic.ParseDirective's, so
+// the translator rejects exactly the directives they flag.
 
 func (a *analyzer) directivePass(r *regionInfo) {
+	// HD101..HD105 come from the directive grammar the translator shares.
+	for _, p := range r.problems {
+		a.report(p.Code, r.pragma.Pos, p.Msg, p.Fix)
+	}
+	if len(r.problems) > 0 {
+		return
+	}
 	stages := []func(r *regionInfo) bool{
-		a.checkClauseSyntax,
-		a.checkClauseDuplicates,
-		a.checkRegionKind,
-		a.checkRequiredClauses,
 		a.checkClauseResolution,
 		a.checkLengthClauses,
 		a.checkRegionUsage,
@@ -60,128 +31,6 @@ func (a *analyzer) directivePass(r *regionInfo) {
 			return
 		}
 	}
-}
-
-// checkClauseSyntax reports HD101 for unknown or malformed clauses.
-func (a *analyzer) checkClauseSyntax(r *regionInfo) bool {
-	pos := r.pragma.Pos
-	n := len(a.diags)
-	for _, cl := range r.clauses {
-		spec, known := clauseSpecs[cl.name]
-		switch {
-		case cl.bad:
-			a.report("HD101", pos,
-				fmt.Sprintf("malformed clause %q in mapreduce pragma", cl.name),
-				"balance the clause's parentheses")
-		case !known:
-			a.report("HD101", pos,
-				fmt.Sprintf("unknown clause %q in mapreduce pragma", cl.name),
-				"valid clauses: mapper, combiner, key, value, keyin, valuein, keylength, vallength, kvpairs, blocks, threads, firstprivate, sharedRO, texture")
-		case spec.kind == clauseMarker && len(cl.args) > 0:
-			a.report("HD101", pos,
-				fmt.Sprintf("clause %q takes no arguments", cl.name), "")
-		case (spec.kind == clauseIdent || spec.kind == clauseInt) && len(cl.args) != 1:
-			a.report("HD101", pos,
-				fmt.Sprintf("clause %q requires exactly one argument, got %d", cl.name, len(cl.args)), "")
-		case spec.kind == clauseInt && len(cl.args) == 1 && cl.oneInt() <= 0:
-			a.report("HD101", pos,
-				fmt.Sprintf("clause %q requires a positive integer argument, got %q", cl.name, cl.one()), "")
-		case spec.kind == clauseList && len(cl.args) == 0:
-			a.report("HD101", pos,
-				fmt.Sprintf("clause %q requires at least one variable", cl.name), "")
-		}
-	}
-	return len(a.diags) > n
-}
-
-// checkClauseDuplicates reports HD102 for repeated singleton clauses and for
-// a variable listed twice across firstprivate/sharedRO/texture.
-func (a *analyzer) checkClauseDuplicates(r *regionInfo) bool {
-	pos := r.pragma.Pos
-	n := len(a.diags)
-	seen := map[string]bool{}
-	for _, cl := range r.clauses {
-		name := cl.name
-		if name == "sharedro" {
-			name = "sharedRO"
-		}
-		if spec := clauseSpecs[cl.name]; spec.kind == clauseList {
-			continue
-		}
-		if seen[name] {
-			a.report("HD102", pos,
-				fmt.Sprintf("duplicate clause %q in mapreduce pragma", name),
-				"keep a single occurrence")
-		}
-		seen[name] = true
-	}
-	classified := map[string]string{}
-	for _, cl := range r.clauses {
-		name := cl.name
-		if name == "sharedro" {
-			name = "sharedRO"
-		}
-		if spec := clauseSpecs[cl.name]; spec.kind != clauseList {
-			continue
-		}
-		for _, v := range cl.args {
-			if prev, ok := classified[v]; ok {
-				a.report("HD102", pos,
-					fmt.Sprintf("variable %q classified twice: %s and %s", v, prev, name),
-					"list each variable in at most one classification clause")
-				continue
-			}
-			classified[v] = name
-		}
-	}
-	return len(a.diags) > n
-}
-
-// checkRegionKind reports HD103 unless exactly one of mapper/combiner is
-// present.
-func (a *analyzer) checkRegionKind(r *regionInfo) bool {
-	if r.kindClauses == 1 {
-		return false
-	}
-	msg := "mapreduce pragma has neither mapper nor combiner clause"
-	if r.kindClauses > 1 {
-		msg = "mapreduce pragma has both mapper and combiner clauses"
-	}
-	a.report("HD103", r.pragma.Pos, msg, "mark the region as exactly one of mapper or combiner")
-	return true
-}
-
-// checkRequiredClauses reports HD104 for missing key/value (and, for
-// combiners, keyin/valuein) and HD105 for combiner-only clauses on mappers.
-func (a *analyzer) checkRequiredClauses(r *regionInfo) bool {
-	pos := r.pragma.Pos
-	n := len(a.diags)
-	if !r.combiner {
-		for _, cl := range r.clauses {
-			if spec, ok := clauseSpecs[cl.name]; ok && spec.combinerOnly {
-				a.report("HD105", pos,
-					fmt.Sprintf("clause %q is only valid on combiner regions", cl.name),
-					"remove the clause or mark the region combiner")
-			}
-		}
-		if len(a.diags) > n {
-			return true
-		}
-	}
-	missing := func(clause, name string) {
-		if name == "" {
-			a.report("HD104", pos,
-				fmt.Sprintf("%s region is missing the %s clause", r.kindName(), clause),
-				fmt.Sprintf("add %s(<variable>)", clause))
-		}
-	}
-	missing("key", r.key)
-	missing("value", r.value)
-	if r.combiner {
-		missing("keyin", r.keyIn)
-		missing("valuein", r.valueIn)
-	}
-	return len(a.diags) > n
 }
 
 // checkClauseResolution reports HD106 when a clause names a variable that
@@ -199,17 +48,17 @@ func (a *analyzer) checkClauseResolution(r *regionInfo) bool {
 				"declare the variable before the pragma or fix the name")
 		}
 	}
-	check("key", r.key)
-	check("value", r.value)
-	check("keyin", r.keyIn)
-	check("valuein", r.valueIn)
-	for _, v := range r.firstPrivate {
+	check("key", r.Key)
+	check("value", r.Value)
+	check("keyin", r.KeyIn)
+	check("valuein", r.ValueIn)
+	for _, v := range r.FirstPrivate {
 		check("firstprivate", v)
 	}
-	for _, v := range r.sharedRO {
+	for _, v := range r.SharedRO {
 		check("sharedRO", v)
 	}
-	for _, v := range r.texture {
+	for _, v := range r.Texture {
 		check("texture", v)
 	}
 	return len(a.diags) > n
@@ -219,8 +68,8 @@ func (a *analyzer) checkClauseResolution(r *regionInfo) bool {
 // declared type of the key/value variable.
 func (a *analyzer) checkLengthClauses(r *regionInfo) bool {
 	n := len(a.diags)
-	a.checkLength(r, "keylength", r.keyLen, "key", r.key)
-	a.checkLength(r, "vallength", r.valLen, "value", r.value)
+	a.checkLength(r, "keylength", r.KeyLength, "key", r.Key)
+	a.checkLength(r, "vallength", r.ValLength, "value", r.Value)
 	return len(a.diags) > n
 }
 
@@ -253,28 +102,29 @@ func (a *analyzer) checkLength(r *regionInfo, lenClause string, lenVal int, varC
 func (a *analyzer) checkRegionUsage(r *regionInfo) bool {
 	n := len(a.diags)
 	printfs := 0
-	walkCalls(r.pragma.Body, func(c *minic.Call) {
-		switch c.Name {
-		case "printf":
+	minic.Inspect(r.pragma.Body, func(n minic.Node) bool {
+		c, ok := n.(*minic.Call)
+		switch {
+		case !ok:
+		case c.Name == "printf":
 			printfs++
 			a.checkEmitArgs(r, c)
-		case "scanf":
-			if r.combiner {
-				a.checkReadArgs(r, c)
-			}
+		case c.Name == "scanf" && r.Combiner:
+			a.checkReadArgs(r, c)
 		}
+		return true
 	})
 	if printfs == 0 {
 		a.report("HD110", r.pragma.Pos,
-			fmt.Sprintf("%s region never emits a key/value pair (no printf call)", r.kindName()),
+			fmt.Sprintf("%s region never emits a key/value pair (no printf call)", r.KindName()),
 			"emit with printf(\"...\", key, value) inside the region")
 	}
-	if r.combiner && r.value != "" {
-		if sym := r.syms[r.value]; sym != nil && sym.Type != nil && !sym.Type.IsPointerLike() {
+	if r.Combiner && r.Value != "" {
+		if sym := r.syms[r.Value]; sym != nil && sym.Type != nil && !sym.Type.IsPointerLike() {
 			if !accumulates(r.pragma.Body, sym) {
 				a.report("HD109", r.pragma.Pos,
-					fmt.Sprintf("combiner value variable %q is never accumulated in the region", r.value),
-					fmt.Sprintf("combine the incoming %s into %s (e.g. %s += %s)", r.valueIn, r.value, r.value, r.valueIn))
+					fmt.Sprintf("combiner value variable %q is never accumulated in the region", r.Value),
+					fmt.Sprintf("combine the incoming %s into %s (e.g. %s += %s)", r.ValueIn, r.Value, r.Value, r.ValueIn))
 			}
 		}
 	}
@@ -289,8 +139,8 @@ func (a *analyzer) checkEmitArgs(r *regionInfo, c *minic.Call) {
 	if len(c.Args) != 3 {
 		return
 	}
-	a.checkKVArg(r, c, "key", r.key, c.Args[1])
-	a.checkKVArg(r, c, "value", r.value, c.Args[2])
+	a.checkKVArg(r, c, "key", r.Key, c.Args[1])
+	a.checkKVArg(r, c, "value", r.Value, c.Args[2])
 }
 
 // checkReadArgs verifies a two-argument scanf read against keyin/valuein.
@@ -298,8 +148,8 @@ func (a *analyzer) checkReadArgs(r *regionInfo, c *minic.Call) {
 	if len(c.Args) != 3 {
 		return
 	}
-	a.checkKVArg(r, c, "keyin", r.keyIn, c.Args[1])
-	a.checkKVArg(r, c, "valuein", r.valueIn, c.Args[2])
+	a.checkKVArg(r, c, "keyin", r.KeyIn, c.Args[1])
+	a.checkKVArg(r, c, "valuein", r.ValueIn, c.Args[2])
 }
 
 func (a *analyzer) checkKVArg(r *regionInfo, c *minic.Call, clause, want string, arg minic.Expr) {
@@ -331,128 +181,32 @@ func (a *analyzer) checkKVArg(r *regionInfo, c *minic.Call, clause, want string,
 // accumulates reports whether the region updates sym from its prior value:
 // a compound assignment, ++/--, or `sym = ...sym...`.
 func accumulates(region minic.Stmt, sym *minic.Symbol) bool {
+	isSym := func(n minic.Node) bool {
+		id, ok := n.(*minic.Ident)
+		return ok && id.Sym == sym
+	}
+	reads := func(e minic.Expr) bool {
+		found := false
+		minic.Inspect(e, func(n minic.Node) bool {
+			found = found || isSym(n)
+			return !found
+		})
+		return found
+	}
 	found := false
-	walkExprs(region, func(e minic.Expr) {
+	minic.Inspect(region, func(n minic.Node) bool {
 		if found {
-			return
+			return false
 		}
-		switch x := e.(type) {
+		switch x := n.(type) {
 		case *minic.Assign:
-			id, ok := x.L.(*minic.Ident)
-			if !ok || id.Sym != sym {
-				return
-			}
-			if x.Op != "=" || readsSym(x.R, sym) {
-				found = true
-			}
+			found = isSym(x.L) && (x.Op != "=" || reads(x.R))
 		case *minic.Unary:
-			if x.Op == "++" || x.Op == "--" {
-				if id, ok := x.X.(*minic.Ident); ok && id.Sym == sym {
-					found = true
-				}
-			}
+			found = (x.Op == "++" || x.Op == "--") && isSym(x.X)
 		case *minic.Postfix:
-			if id, ok := x.X.(*minic.Ident); ok && id.Sym == sym {
-				found = true
-			}
+			found = isSym(x.X)
 		}
+		return true
 	})
 	return found
-}
-
-func readsSym(e minic.Expr, sym *minic.Symbol) bool {
-	found := false
-	var walk func(minic.Expr)
-	walk = func(e minic.Expr) {
-		if e == nil || found {
-			return
-		}
-		switch x := e.(type) {
-		case *minic.Ident:
-			if x.Sym == sym {
-				found = true
-			}
-		case *minic.Unary:
-			walk(x.X)
-		case *minic.Postfix:
-			walk(x.X)
-		case *minic.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *minic.Assign:
-			walk(x.L)
-			walk(x.R)
-		case *minic.Cond:
-			walk(x.C)
-			walk(x.T)
-			walk(x.F)
-		case *minic.Call:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *minic.Index:
-			walk(x.X)
-			walk(x.Idx)
-		case *minic.Cast:
-			walk(x.X)
-		}
-	}
-	walk(e)
-	return found
-}
-
-// walkExprs visits every expression nested anywhere under s, in source
-// order.
-func walkExprs(s minic.Stmt, visit func(minic.Expr)) {
-	var walk func(e minic.Expr)
-	walk = func(e minic.Expr) {
-		if e == nil {
-			return
-		}
-		visit(e)
-		switch x := e.(type) {
-		case *minic.Unary:
-			walk(x.X)
-		case *minic.Postfix:
-			walk(x.X)
-		case *minic.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *minic.Assign:
-			walk(x.L)
-			walk(x.R)
-		case *minic.Cond:
-			walk(x.C)
-			walk(x.T)
-			walk(x.F)
-		case *minic.Call:
-			for _, arg := range x.Args {
-				walk(arg)
-			}
-		case *minic.Index:
-			walk(x.X)
-			walk(x.Idx)
-		case *minic.Cast:
-			walk(x.X)
-		}
-	}
-	walkStmts(s, func(st minic.Stmt) {
-		switch x := st.(type) {
-		case *minic.ExprStmt:
-			walk(x.X)
-		case *minic.DeclStmt:
-			for _, d := range x.Decls {
-				walk(d.Init)
-			}
-		case *minic.If:
-			walk(x.Cond)
-		case *minic.While:
-			walk(x.Cond)
-		case *minic.For:
-			walk(x.Cond)
-			walk(x.Post)
-		case *minic.Return:
-			walk(x.X)
-		}
-	})
 }

@@ -30,65 +30,22 @@ func (a *analyzer) hd403Owned(regions []*regionInfo) map[*minic.Index]bool {
 	owned := map[*minic.Index]bool{}
 	for _, r := range regions {
 		ro := map[string]bool{}
-		for _, n := range r.sharedRO {
+		for _, n := range r.SharedRO {
 			ro[n] = true
 		}
-		for _, n := range r.texture {
+		for _, n := range r.Texture {
 			ro[n] = true
 		}
 		if len(ro) == 0 {
 			continue
 		}
-		var walkExpr func(e minic.Expr)
-		walkExpr = func(e minic.Expr) {
-			switch x := e.(type) {
-			case nil:
-			case *minic.Unary:
-				walkExpr(x.X)
-			case *minic.Postfix:
-				walkExpr(x.X)
-			case *minic.Binary:
-				walkExpr(x.L)
-				walkExpr(x.R)
-			case *minic.Assign:
-				walkExpr(x.L)
-				walkExpr(x.R)
-			case *minic.Cond:
-				walkExpr(x.C)
-				walkExpr(x.T)
-				walkExpr(x.F)
-			case *minic.Call:
-				for _, arg := range x.Args {
-					walkExpr(arg)
-				}
-			case *minic.Index:
+		minic.Inspect(r.pragma.Body, func(n minic.Node) bool {
+			if x, ok := n.(*minic.Index); ok {
 				if base, ok := x.X.(*minic.Ident); ok && ro[base.Name] {
 					owned[x] = true
 				}
-				walkExpr(x.X)
-				walkExpr(x.Idx)
-			case *minic.Cast:
-				walkExpr(x.X)
 			}
-		}
-		walkStmts(r.pragma.Body, func(s minic.Stmt) {
-			switch x := s.(type) {
-			case *minic.ExprStmt:
-				walkExpr(x.X)
-			case *minic.DeclStmt:
-				for _, d := range x.Decls {
-					walkExpr(d.Init)
-				}
-			case *minic.If:
-				walkExpr(x.Cond)
-			case *minic.While:
-				walkExpr(x.Cond)
-			case *minic.For:
-				walkExpr(x.Cond)
-				walkExpr(x.Post)
-			case *minic.Return:
-				walkExpr(x.X)
-			}
+			return true
 		})
 	}
 	return owned

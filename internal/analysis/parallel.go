@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/minic"
 )
@@ -64,16 +65,17 @@ func regionEvents(s minic.Stmt) []event {
 // checkLoopCarried reports HD301 for mapper-region variables whose first
 // access is a read and which the region also writes.
 func (a *analyzer) checkLoopCarried(r *regionInfo, events []event) {
-	if r.combiner {
+	if r.Combiner {
 		return
 	}
 	regionLocal := map[*minic.Symbol]bool{}
-	walkStmts(r.pragma.Body, func(s minic.Stmt) {
-		if ds, ok := s.(*minic.DeclStmt); ok {
+	minic.Inspect(r.pragma.Body, func(n minic.Node) bool {
+		if ds, ok := n.(*minic.DeclStmt); ok {
 			for _, d := range ds.Decls {
 				regionLocal[d.Sym] = true
 			}
 		}
+		return true
 	})
 	type symState struct {
 		firstRead    bool
@@ -131,7 +133,7 @@ func (a *analyzer) checkReadOnlyWrites(r *regionInfo, events []event) {
 		switch ev.kind {
 		case evWrite, evElemWrite, evAddr:
 			clause := "sharedRO"
-			if contains(r.texture, ev.sym.Name) {
+			if slices.Contains(r.Texture, ev.sym.Name) {
 				clause = "texture"
 			}
 			verb := "writes"

@@ -94,14 +94,15 @@ func CompileFragmentStmt(prog *minic.Program, region minic.Stmt) (*Program, erro
 
 func compileFragment(prog *minic.Program, decl *minic.FuncDecl, body *minic.Block, skip map[minic.Stmt]bool) (*Program, error) {
 	declared := map[*minic.Symbol]bool{}
-	walkFragmentStmts(body, func(s minic.Stmt) {
-		if d, ok := s.(*minic.DeclStmt); ok {
+	minic.Inspect(body, func(n minic.Node) bool {
+		if d, ok := n.(*minic.DeclStmt); ok {
 			for _, dc := range d.Decls {
 				if dc.Sym != nil {
 					declared[dc.Sym] = true
 				}
 			}
 		}
+		return true
 	})
 	demote := func(sym *minic.Symbol) bool { return !declared[sym] }
 
@@ -122,31 +123,6 @@ func compileFragment(prog *minic.Program, decl *minic.FuncDecl, body *minic.Bloc
 		}
 	}
 	return b.done(), nil
-}
-
-// walkFragmentStmts visits s and nested statements (fragment ASTs only
-// contain the statement forms the parser produces).
-func walkFragmentStmts(s minic.Stmt, visit func(minic.Stmt)) {
-	if s == nil {
-		return
-	}
-	visit(s)
-	switch st := s.(type) {
-	case *minic.Block:
-		for _, inner := range st.Stmts {
-			walkFragmentStmts(inner, visit)
-		}
-	case *minic.If:
-		walkFragmentStmts(st.Then, visit)
-		walkFragmentStmts(st.Else, visit)
-	case *minic.While:
-		walkFragmentStmts(st.Body, visit)
-	case *minic.For:
-		walkFragmentStmts(st.Init, visit)
-		walkFragmentStmts(st.Body, visit)
-	case *minic.PragmaStmt:
-		walkFragmentStmts(st.Body, visit)
-	}
 }
 
 // builder accumulates the shared pools of one Program. All interning is

@@ -392,8 +392,8 @@ func MustCompile(src string) *Compiled {
 	return c
 }
 
-func mapreducePragmas(prog *minic.Program) []*minic.PragmaStmt {
-	var out []*minic.PragmaStmt
+func mapreducePragmas(prog *minic.Program) []minic.PragmaSite {
+	var out []minic.PragmaSite
 	for _, p := range minic.FindPragmas(prog) {
 		if p.IsMapReduce() {
 			out = append(out, p)
@@ -404,11 +404,7 @@ func mapreducePragmas(prog *minic.Program) []*minic.PragmaStmt {
 
 // translate performs kernel extraction: region validation, call
 // substitution, and Algorithm-1 variable classification.
-func translate(prog *minic.Program, pragma *minic.PragmaStmt, d *Directive) (*KernelSpec, error) {
-	fn := enclosingFunc(prog, pragma)
-	if fn == nil {
-		return nil, fmt.Errorf("compiler: cannot find function enclosing the pragma")
-	}
+func translate(prog *minic.Program, pragma minic.PragmaSite, d *Directive) (*KernelSpec, error) {
 	// Region shape check: the paper attaches mapper directives to the
 	// record while-loop and combiner directives to a while loop or block.
 	switch d.Kind {
@@ -428,7 +424,7 @@ func translate(prog *minic.Program, pragma *minic.PragmaStmt, d *Directive) (*Ke
 		Kind:      d.Kind,
 		Directive: d,
 		Prog:      prog,
-		Fn:        fn,
+		Fn:        pragma.Func,
 		Region:    pragma.Body,
 		Plan:      map[*minic.Symbol]VarClass{},
 		Blocks:    d.Blocks,
@@ -443,14 +439,8 @@ func translate(prog *minic.Program, pragma *minic.PragmaStmt, d *Directive) (*Ke
 	}
 
 	// Resolve the directive's named variables against region symbols.
-	syms := visibleSymbols(fn, prog)
-	resolve := func(name, clause string, required bool) (*minic.Symbol, error) {
-		if name == "" {
-			if required {
-				return nil, fmt.Errorf("compiler: missing %s clause", clause)
-			}
-			return nil, nil
-		}
+	syms := minic.VisibleSymbols(pragma.Func, prog)
+	resolve := func(name, clause string) (*minic.Symbol, error) {
 		s, ok := syms[name]
 		if !ok {
 			return nil, fmt.Errorf("compiler: %s clause names unknown variable %q", clause, name)
@@ -458,17 +448,17 @@ func translate(prog *minic.Program, pragma *minic.PragmaStmt, d *Directive) (*Ke
 		return s, nil
 	}
 	var err error
-	if spec.KeySym, err = resolve(d.Key, "key", true); err != nil {
+	if spec.KeySym, err = resolve(d.Key, "key"); err != nil {
 		return nil, err
 	}
-	if spec.ValSym, err = resolve(d.Value, "value", true); err != nil {
+	if spec.ValSym, err = resolve(d.Value, "value"); err != nil {
 		return nil, err
 	}
 	if d.Kind == RegionCombiner {
-		if spec.KeyInSym, err = resolve(d.KeyIn, "keyin", true); err != nil {
+		if spec.KeyInSym, err = resolve(d.KeyIn, "keyin"); err != nil {
 			return nil, err
 		}
-		if spec.ValInSym, err = resolve(d.ValueIn, "valuein", true); err != nil {
+		if spec.ValInSym, err = resolve(d.ValueIn, "valuein"); err != nil {
 			return nil, err
 		}
 	}
@@ -508,125 +498,6 @@ func isArrayLike(t *minic.Type) bool {
 	return t != nil && (t.Kind == minic.TypeArray || t.Kind == minic.TypePointer)
 }
 
-// enclosingFunc finds the function whose body contains the pragma.
-func enclosingFunc(prog *minic.Program, pragma *minic.PragmaStmt) *minic.FuncDecl {
-	for _, f := range prog.Funcs {
-		found := false
-		walkStmts(f.Body, func(s minic.Stmt) {
-			if s == minic.Stmt(pragma) {
-				found = true
-			}
-		})
-		if found {
-			return f
-		}
-	}
-	return nil
-}
-
-// visibleSymbols maps names to symbols declared in fn (params and all
-// nested declarations) plus file-scope globals. Inner declarations win over
-// outer ones with the same name only if encountered later, which matches
-// the benchmarks' usage (unique names).
-func visibleSymbols(fn *minic.FuncDecl, prog *minic.Program) map[string]*minic.Symbol {
-	out := map[string]*minic.Symbol{}
-	for _, g := range prog.Globals {
-		for _, dcl := range g.Decls {
-			out[dcl.Name] = dcl.Sym
-		}
-	}
-	for _, p := range fn.Params {
-		out[p.Name] = p.Sym
-	}
-	walkStmts(fn.Body, func(s minic.Stmt) {
-		if ds, ok := s.(*minic.DeclStmt); ok {
-			for _, dcl := range ds.Decls {
-				out[dcl.Name] = dcl.Sym
-			}
-		}
-	})
-	return out
-}
-
-// walkStmts visits s and every nested statement.
-func walkStmts(s minic.Stmt, visit func(minic.Stmt)) {
-	if s == nil {
-		return
-	}
-	visit(s)
-	switch st := s.(type) {
-	case *minic.Block:
-		for _, inner := range st.Stmts {
-			walkStmts(inner, visit)
-		}
-	case *minic.If:
-		walkStmts(st.Then, visit)
-		walkStmts(st.Else, visit)
-	case *minic.While:
-		walkStmts(st.Body, visit)
-	case *minic.For:
-		walkStmts(st.Init, visit)
-		walkStmts(st.Body, visit)
-	case *minic.PragmaStmt:
-		walkStmts(st.Body, visit)
-	}
-}
-
-// walkExprs visits every expression in s, including nested ones.
-func walkExprs(s minic.Stmt, visit func(minic.Expr)) {
-	walkStmts(s, func(st minic.Stmt) {
-		switch x := st.(type) {
-		case *minic.ExprStmt:
-			walkExpr(x.X, visit)
-		case *minic.DeclStmt:
-			for _, dcl := range x.Decls {
-				walkExpr(dcl.Init, visit)
-			}
-		case *minic.If:
-			walkExpr(x.Cond, visit)
-		case *minic.While:
-			walkExpr(x.Cond, visit)
-		case *minic.For:
-			walkExpr(x.Cond, visit)
-			walkExpr(x.Post, visit)
-		case *minic.Return:
-			walkExpr(x.X, visit)
-		}
-	})
-}
-
-func walkExpr(e minic.Expr, visit func(minic.Expr)) {
-	if e == nil {
-		return
-	}
-	visit(e)
-	switch x := e.(type) {
-	case *minic.Unary:
-		walkExpr(x.X, visit)
-	case *minic.Postfix:
-		walkExpr(x.X, visit)
-	case *minic.Binary:
-		walkExpr(x.L, visit)
-		walkExpr(x.R, visit)
-	case *minic.Assign:
-		walkExpr(x.L, visit)
-		walkExpr(x.R, visit)
-	case *minic.Cond:
-		walkExpr(x.C, visit)
-		walkExpr(x.T, visit)
-		walkExpr(x.F, visit)
-	case *minic.Call:
-		for _, a := range x.Args {
-			walkExpr(a, visit)
-		}
-	case *minic.Index:
-		walkExpr(x.X, visit)
-		walkExpr(x.Idx, visit)
-	case *minic.Cast:
-		walkExpr(x.X, visit)
-	}
-}
-
 // substitutions tallies the call rewrites performed in a region.
 type substitutions struct {
 	records int // getline -> getRecord
@@ -641,10 +512,10 @@ type substitutions struct {
 func rewriteRegion(spec *KernelSpec) substitutions {
 	var subs substitutions
 	d := spec.Directive
-	walkExprs(spec.Region, func(e minic.Expr) {
-		call, ok := e.(*minic.Call)
+	minic.Inspect(spec.Region, func(n minic.Node) bool {
+		call, ok := n.(*minic.Call)
 		if !ok {
-			return
+			return true
 		}
 		switch call.Name {
 		case "getline":
@@ -686,6 +557,7 @@ func rewriteRegion(spec *KernelSpec) substitutions {
 			call.Builtin = true
 			subs.strings++
 		}
+		return true
 	})
 	return subs
 }
@@ -714,12 +586,13 @@ func classifyVariables(spec *KernelSpec) error {
 
 	// Symbols declared inside the region are local.
 	local := map[*minic.Symbol]bool{}
-	walkStmts(spec.Region, func(s minic.Stmt) {
-		if ds, ok := s.(*minic.DeclStmt); ok {
+	minic.Inspect(spec.Region, func(n minic.Node) bool {
+		if ds, ok := n.(*minic.DeclStmt); ok {
 			for _, dcl := range ds.Decls {
 				local[dcl.Sym] = true
 			}
 		}
+		return true
 	})
 
 	// Ordered first-access analysis.
@@ -781,8 +654,12 @@ func classifyVariables(spec *KernelSpec) error {
 			visitExpr(x.X, write)
 		}
 	}
-	walkStmts(spec.Region, func(s minic.Stmt) {
-		switch st := s.(type) {
+	// A statement's own expressions are visited before its nested
+	// statements (a for loop's condition and post before its init).
+	minic.Inspect(spec.Region, func(n minic.Node) bool {
+		switch st := n.(type) {
+		case minic.Expr:
+			return false
 		case *minic.ExprStmt:
 			visitExpr(st.X, false)
 		case *minic.DeclStmt:
@@ -807,6 +684,7 @@ func classifyVariables(spec *KernelSpec) error {
 				visitExpr(st.X, false)
 			}
 		}
+		return true
 	})
 
 	firstAccess := map[*minic.Symbol]bool{} // true = first access was a read

@@ -456,10 +456,11 @@ func TestCompileIsRepeatable(t *testing.T) {
 // callNames counts call expressions by name inside a statement tree.
 func callNames(s minic.Stmt) map[string]int {
 	out := map[string]int{}
-	walkExprs(s, func(e minic.Expr) {
-		if c, ok := e.(*minic.Call); ok {
+	minic.Inspect(s, func(n minic.Node) bool {
+		if c, ok := n.(*minic.Call); ok {
 			out[c.Name]++
 		}
+		return true
 	})
 	return out
 }

@@ -9,8 +9,8 @@ package compiler
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+
+	"repro/internal/minic"
 )
 
 // RegionKind distinguishes the two directive-annotated region types.
@@ -30,230 +30,24 @@ func (k RegionKind) String() string {
 }
 
 // Directive is a parsed `#pragma mapreduce ...` annotation (Table 1 of the
-// paper).
+// paper): the region kind plus the clause values minic reads.
 type Directive struct {
 	Kind RegionKind
-
-	// Key / Value name the variables emitting KV pairs.
-	Key   string
-	Value string
-	// KeyIn / ValueIn name the variables receiving incoming KV pairs
-	// (combiner only).
-	KeyIn   string
-	ValueIn string
-
-	// KeyLength / ValLength give emitted key/value lengths in bytes when
-	// the variable types are not compiler-derivable; 0 means derive.
-	KeyLength int
-	ValLength int
-
-	// FirstPrivate lists variables initialized before the region.
-	FirstPrivate []string
-	// SharedRO lists read-only variables (placed in constant or texture
-	// memory by the translator).
-	SharedRO []string
-	// Texture lists read-only arrays forced into texture memory.
-	Texture []string
-
-	// KVPairs bounds the KV pairs emitted per record (mapper only;
-	// 0 = unknown, over-allocate).
-	KVPairs int
-	// Blocks / Threads tune the kernel launch geometry (0 = default).
-	Blocks  int
-	Threads int
+	minic.Directive
 }
 
 // ParseDirective parses the text of a mapreduce pragma (the part after
 // `#pragma`), e.g. `mapreduce mapper key(word) value(one) keylength(30)`.
+// It rejects exactly the directives the linter flags HD101..HD105, with
+// the first problem's message.
 func ParseDirective(text string) (*Directive, error) {
-	fields, err := splitClauses(text)
-	if err != nil {
-		return nil, err
+	md, problems := minic.ParseDirective(text)
+	if len(problems) > 0 {
+		return nil, fmt.Errorf("compiler: %s", problems[0].Msg)
 	}
-	if len(fields) == 0 || fields[0].name != "mapreduce" {
-		return nil, fmt.Errorf("compiler: not a mapreduce pragma: %q", text)
-	}
-	d := &Directive{KeyLength: 0}
-	seenKind := false
-	seen := map[string]bool{}
-	// Singleton clauses may appear at most once; a silent
-	// last-occurrence-wins rule would hide directive typos.
-	once := func(name string) error {
-		if seen[name] {
-			return fmt.Errorf("compiler: duplicate clause %q in pragma %q", name, text)
-		}
-		seen[name] = true
-		return nil
-	}
-	for _, cl := range fields[1:] {
-		switch cl.name {
-		case "mapper", "combiner":
-			if seenKind {
-				return nil, fmt.Errorf("compiler: pragma %q has more than one mapper/combiner clause", text)
-			}
-			if cl.name == "combiner" {
-				d.Kind = RegionCombiner
-			} else {
-				d.Kind = RegionMapper
-			}
-			seenKind = true
-			continue
-		}
-		switch cl.name {
-		case "key", "value", "keyin", "valuein", "keylength", "vallength",
-			"kvpairs", "blocks", "threads":
-			if err := once(cl.name); err != nil {
-				return nil, err
-			}
-		}
-		switch cl.name {
-		case "key":
-			if d.Key, err = cl.oneIdent(); err != nil {
-				return nil, err
-			}
-		case "value":
-			if d.Value, err = cl.oneIdent(); err != nil {
-				return nil, err
-			}
-		case "keyin":
-			if d.KeyIn, err = cl.oneIdent(); err != nil {
-				return nil, err
-			}
-		case "valuein":
-			if d.ValueIn, err = cl.oneIdent(); err != nil {
-				return nil, err
-			}
-		case "keylength":
-			if d.KeyLength, err = cl.oneInt(); err != nil {
-				return nil, err
-			}
-		case "vallength":
-			if d.ValLength, err = cl.oneInt(); err != nil {
-				return nil, err
-			}
-		case "firstprivate":
-			d.FirstPrivate = append(d.FirstPrivate, cl.args...)
-		case "sharedRO", "sharedro":
-			d.SharedRO = append(d.SharedRO, cl.args...)
-		case "texture":
-			d.Texture = append(d.Texture, cl.args...)
-		case "kvpairs":
-			if d.KVPairs, err = cl.oneInt(); err != nil {
-				return nil, err
-			}
-		case "blocks":
-			if d.Blocks, err = cl.oneInt(); err != nil {
-				return nil, err
-			}
-		case "threads":
-			if d.Threads, err = cl.oneInt(); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("compiler: unknown clause %q in pragma %q", cl.name, text)
-		}
-	}
-	if !seenKind {
-		return nil, fmt.Errorf("compiler: pragma %q has neither mapper nor combiner clause", text)
-	}
-	if d.Key == "" {
-		return nil, fmt.Errorf("compiler: %s pragma missing required key clause", d.Kind)
-	}
-	if d.Value == "" {
-		return nil, fmt.Errorf("compiler: %s pragma missing required value clause", d.Kind)
-	}
-	if d.Kind == RegionCombiner {
-		if d.KeyIn == "" || d.ValueIn == "" {
-			return nil, fmt.Errorf("compiler: combiner pragma requires keyin and valuein clauses")
-		}
-	} else if d.KeyIn != "" || d.ValueIn != "" {
-		return nil, fmt.Errorf("compiler: keyin/valuein are valid only on the combiner")
+	d := &Directive{Directive: *md}
+	if md.Combiner {
+		d.Kind = RegionCombiner
 	}
 	return d, nil
-}
-
-type clause struct {
-	name string
-	args []string
-}
-
-func (c clause) oneIdent() (string, error) {
-	if len(c.args) != 1 {
-		return "", fmt.Errorf("compiler: clause %q wants exactly one argument, got %v", c.name, c.args)
-	}
-	return c.args[0], nil
-}
-
-func (c clause) oneInt() (int, error) {
-	s, err := c.oneIdent()
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("compiler: clause %q wants an integer literal, got %q", c.name, s)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("compiler: clause %q must be non-negative, got %d", c.name, n)
-	}
-	return n, nil
-}
-
-// splitClauses tokenizes `name(arg, arg) name name(arg)` text.
-func splitClauses(text string) ([]clause, error) {
-	var out []clause
-	i := 0
-	n := len(text)
-	for i < n {
-		for i < n && (text[i] == ' ' || text[i] == '\t' || text[i] == ',') {
-			i++
-		}
-		if i >= n {
-			break
-		}
-		start := i
-		for i < n && isWordChar(text[i]) {
-			i++
-		}
-		if i == start {
-			return nil, fmt.Errorf("compiler: malformed pragma near %q", text[i:])
-		}
-		cl := clause{name: text[start:i]}
-		for i < n && text[i] == ' ' {
-			i++
-		}
-		if i < n && text[i] == '(' {
-			depth := 1
-			i++
-			argStart := i
-			for i < n && depth > 0 {
-				switch text[i] {
-				case '(':
-					depth++
-				case ')':
-					depth--
-				}
-				if depth > 0 {
-					i++
-				}
-			}
-			if depth != 0 {
-				return nil, fmt.Errorf("compiler: unbalanced parentheses in pragma %q", text)
-			}
-			raw := text[argStart:i]
-			i++ // closing paren
-			for _, a := range strings.Split(raw, ",") {
-				a = strings.TrimSpace(a)
-				if a != "" {
-					cl.args = append(cl.args, a)
-				}
-			}
-		}
-		out = append(out, cl)
-	}
-	return out, nil
-}
-
-func isWordChar(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }

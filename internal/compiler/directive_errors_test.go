@@ -57,6 +57,28 @@ func TestParseDirectiveErrorMessages(t *testing.T) {
 			"mapreduce mapper key(a value(b)",
 			`compiler: unbalanced parentheses in pragma "mapreduce mapper key(a value(b)"`,
 		},
+		// The translator and hdlint share one directive grammar: these
+		// forms are flagged HD101/HD102 and must not translate.
+		{
+			"mapreduce mapper(x) key(a) value(b)",
+			`compiler: clause "mapper" takes no arguments`,
+		},
+		{
+			"mapreduce mapper key(a) value(b) firstprivate()",
+			`compiler: clause "firstprivate" requires at least one variable`,
+		},
+		{
+			"mapreduce mapper key(a) value(b) keylength(0)",
+			`compiler: clause "keylength" must be positive, got 0`,
+		},
+		{
+			"mapreduce mapper key(a) value(b) blocks(0)",
+			`compiler: clause "blocks" must be positive, got 0`,
+		},
+		{
+			"mapreduce mapper key(a) value(b) firstprivate(n) sharedRO(n)",
+			`compiler: variable "n" classified twice: firstprivate and sharedRO`,
+		},
 	}
 	for _, tc := range cases {
 		_, err := ParseDirective(tc.text)

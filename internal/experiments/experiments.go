@@ -49,9 +49,6 @@ type Config struct {
 	// serially; every value produces byte-identical tables, traces, and
 	// metrics — only wall-clock time changes.
 	Workers int
-	// Pool optionally shares a caller-owned worker pool across sweeps; when
-	// set, Workers is ignored and the pool is not closed here.
-	Pool *sim.Pool
 }
 
 func (c *Config) fillDefaults() {
@@ -178,13 +175,9 @@ func sampleBenchmark(b *workload.Benchmark, setup cluster.Setup, clusterIdx int,
 	return sample, nil
 }
 
-// pool returns the sweep's shared worker pool (nil for a serial sweep)
-// and a release function that closes the pool only if this call created
-// it — caller-owned pools stay open.
+// pool returns the sweep's worker pool (nil for a serial sweep) and a
+// release function that closes it.
 func (c Config) pool() (*sim.Pool, func()) {
-	if c.Pool != nil {
-		return c.Pool, func() {}
-	}
 	if c.Workers > 1 {
 		p := sim.NewPool(c.Workers)
 		return p, p.Close

@@ -28,7 +28,7 @@ func (r Fig3Result) Improvement() float64 {
 }
 
 // Fig3 runs the two schedulers on the canonical scenario. Only cfg.Obs
-// and cfg.Workers/cfg.Pool are consulted: the scenario's task mix is fixed
+// and cfg.Workers are consulted: the scenario's task mix is fixed
 // by the paper. The two runs execute concurrently when workers allow.
 func Fig3(cfg Config) (Fig3Result, error) {
 	const (

@@ -28,7 +28,7 @@ func (fr *Frame) Object(sym *minic.Symbol) *Object {
 
 // EvalIn evaluates an expression within the frame.
 func (m *Machine) EvalIn(fr *Frame, e minic.Expr) (Value, error) {
-	if err := m.initGlobals(); err != nil {
+	if err := m.InitGlobals(); err != nil {
 		return Value{}, err
 	}
 	return m.eval(fr.f, e)
@@ -38,7 +38,7 @@ func (m *Machine) EvalIn(fr *Frame, e minic.Expr) (Value, error) {
 // when the statement ended with a return (break/continue propagate as
 // normal loop control and report false).
 func (m *Machine) ExecIn(fr *Frame, s minic.Stmt) (terminated bool, err error) {
-	if err := m.initGlobals(); err != nil {
+	if err := m.InitGlobals(); err != nil {
 		return false, err
 	}
 	c, err := m.execStmt(fr.f, s)

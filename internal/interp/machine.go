@@ -302,7 +302,7 @@ func (m *Machine) Steps() int64 { return m.steps }
 
 // Run initializes globals and executes main, returning its exit status.
 func (m *Machine) Run() (int, error) {
-	if err := m.initGlobals(); err != nil {
+	if err := m.InitGlobals(); err != nil {
 		return 0, err
 	}
 	mainFn := m.Prog.Func("main")
@@ -324,7 +324,7 @@ func (m *Machine) Run() (int, error) {
 // Globals are initialized on first use. The GPU executor uses this to run
 // kernel functions per thread.
 func (m *Machine) CallFunction(name string, args []Value) (Value, error) {
-	if err := m.initGlobals(); err != nil {
+	if err := m.InitGlobals(); err != nil {
 		return Value{}, err
 	}
 	fn := m.Prog.Func(name)
@@ -339,7 +339,8 @@ func (m *Machine) CallFunction(name string, args []Value) (Value, error) {
 	return v, err
 }
 
-func (m *Machine) initGlobals() error {
+// InitGlobals runs file-scope initializers once (idempotent).
+func (m *Machine) InitGlobals() error {
 	if m.globalsInit {
 		return nil
 	}
@@ -353,7 +354,8 @@ func (m *Machine) initGlobals() error {
 	return nil
 }
 
-func (m *Machine) spaceOf(sym *minic.Symbol) MemSpace {
+// SpaceOf returns the memory space a symbol's storage is placed in.
+func (m *Machine) SpaceOf(sym *minic.Symbol) MemSpace {
 	if m.spaceFor != nil {
 		return m.spaceFor(sym)
 	}
@@ -366,7 +368,7 @@ func (m *Machine) call(fn *minic.FuncDecl, args []Value) (Value, error) {
 	}
 	f := &frame{vars: map[*minic.Symbol]*Object{}}
 	for i, p := range fn.Params {
-		obj := NewObject(p.Name, p.Type, 1, m.spaceOf(p.Sym))
+		obj := NewObject(p.Name, p.Type, 1, m.SpaceOf(p.Sym))
 		obj.Cells[0] = convertFor(p.Type, args[i])
 		f.vars[p.Sym] = obj
 	}
@@ -505,12 +507,12 @@ func (m *Machine) execDecl(f *frame, d *minic.DeclStmt) (ctrl, error) {
 		n := 1
 		elem := decl.Type
 		if decl.Type.Kind == minic.TypeArray {
-			n, elem = flattenArray(decl.Type)
+			n, elem = FlattenArray(decl.Type)
 			if n < 0 {
 				return ctrl{}, fmt.Errorf("interp: array %q has unspecified length", decl.Name)
 			}
 		}
-		obj := NewObject(decl.Name, elem, n, m.spaceOf(decl.Sym))
+		obj := NewObject(decl.Name, elem, n, m.SpaceOf(decl.Sym))
 		if decl.Init != nil {
 			v, err := m.eval(f, decl.Init)
 			if err != nil {
@@ -524,10 +526,10 @@ func (m *Machine) execDecl(f *frame, d *minic.DeclStmt) (ctrl, error) {
 	return ctrl{}, nil
 }
 
-// flattenArray reduces a possibly multi-dimensional array type to a total
+// FlattenArray reduces a possibly multi-dimensional array type to a total
 // cell count and scalar element type. Multi-dimensional indexing is
 // linearized by the evaluator.
-func flattenArray(t *minic.Type) (int, *minic.Type) {
+func FlattenArray(t *minic.Type) (int, *minic.Type) {
 	n := 1
 	for t.Kind == minic.TypeArray {
 		if t.Len < 0 {
@@ -560,12 +562,12 @@ func (m *Machine) eval(f *frame, e minic.Expr) (Value, error) {
 	case *minic.CharLit:
 		return IntVal(int64(x.Value)), nil
 	case *minic.StrLit:
-		return PtrVal(Pointer{Obj: m.internLiteral(x.Value)}), nil
+		return PtrVal(Pointer{Obj: m.InternLiteral(x.Value)}), nil
 	case *minic.Ident:
 		if x.Sym != nil && x.Sym.Kind == minic.SymBuiltin {
 			// stdin/stdout/stderr: opaque handles; the stream builtins
 			// ignore them and use the machine's configured streams.
-			return PtrVal(Pointer{Obj: m.stdioHandle(x.Name)}), nil
+			return PtrVal(Pointer{Obj: m.Stdio(x.Name)}), nil
 		}
 		obj, err := m.lookup(f, x.Sym)
 		if err != nil {
@@ -584,7 +586,7 @@ func (m *Machine) eval(f *frame, e minic.Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		old, err := m.load(ptr)
+		old, err := m.LoadPtr(ptr)
 		if err != nil {
 			return Value{}, err
 		}
@@ -592,7 +594,7 @@ func (m *Machine) eval(f *frame, e minic.Expr) (Value, error) {
 		if x.Op == "--" {
 			delta = -1
 		}
-		if err := m.store(ptr, addInt(old, delta)); err != nil {
+		if err := m.StorePtr(ptr, addInt(old, delta)); err != nil {
 			return Value{}, err
 		}
 		return old, nil
@@ -619,7 +621,7 @@ func (m *Machine) eval(f *frame, e minic.Expr) (Value, error) {
 		if t := x.Type(); t != nil && t.Kind == minic.TypeArray {
 			return PtrVal(ptr), nil
 		}
-		return m.load(ptr)
+		return m.LoadPtr(ptr)
 	case *minic.Cast:
 		v, err := m.eval(f, x.X)
 		if err != nil {
@@ -651,7 +653,7 @@ func (m *Machine) evalUnary(f *frame, x *minic.Unary) (Value, error) {
 		if v.Kind != ValPtr || v.P.IsNull() {
 			return Value{}, fmt.Errorf("interp: %s: dereference of null or non-pointer", x.Pos)
 		}
-		return m.load(v.P)
+		return m.LoadPtr(v.P)
 	case "-":
 		v, err := m.eval(f, x.X)
 		if err != nil {
@@ -681,7 +683,7 @@ func (m *Machine) evalUnary(f *frame, x *minic.Unary) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		old, err := m.load(ptr)
+		old, err := m.LoadPtr(ptr)
 		if err != nil {
 			return Value{}, err
 		}
@@ -690,7 +692,7 @@ func (m *Machine) evalUnary(f *frame, x *minic.Unary) (Value, error) {
 			delta = -1
 		}
 		nv := addInt(old, delta)
-		if err := m.store(ptr, nv); err != nil {
+		if err := m.StorePtr(ptr, nv); err != nil {
 			return Value{}, err
 		}
 		return nv, nil
@@ -884,7 +886,7 @@ func (m *Machine) evalAssign(f *frame, x *minic.Assign) (Value, error) {
 		return Value{}, err
 	}
 	if x.Op != "=" {
-		cur, err := m.load(ptr)
+		cur, err := m.LoadPtr(ptr)
 		if err != nil {
 			return Value{}, err
 		}
@@ -894,7 +896,7 @@ func (m *Machine) evalAssign(f *frame, x *minic.Assign) (Value, error) {
 			return Value{}, err
 		}
 	}
-	if err := m.store(ptr, rhs); err != nil {
+	if err := m.StorePtr(ptr, rhs); err != nil {
 		return Value{}, err
 	}
 	return rhs, nil
@@ -938,7 +940,7 @@ func (m *Machine) indexPointer(f *frame, x *minic.Index) (Pointer, error) {
 	bt := x.X.Type()
 	stride := 1
 	if bt != nil && bt.ElemType() != nil && bt.ElemType().Kind == minic.TypeArray {
-		n, _ := flattenArray(bt.ElemType())
+		n, _ := FlattenArray(bt.ElemType())
 		if n > 0 {
 			stride = n
 		}
@@ -953,7 +955,8 @@ func (m *Machine) indexPointer(f *frame, x *minic.Index) (Pointer, error) {
 	return Pointer{Obj: base.P.Obj, Off: base.P.Off + i*stride}, nil
 }
 
-func (m *Machine) load(p Pointer) (Value, error) {
+// LoadPtr loads the cell at p with bounds checking and cost charging.
+func (m *Machine) LoadPtr(p Pointer) (Value, error) {
 	if p.IsNull() || p.Off < 0 || p.Off >= len(p.Obj.Cells) {
 		return Value{}, fmt.Errorf("interp: load out of bounds (%s[%d] of %d)", objName(p.Obj), p.Off, objLen(p.Obj))
 	}
@@ -961,7 +964,9 @@ func (m *Machine) load(p Pointer) (Value, error) {
 	return p.Obj.Cells[p.Off], nil
 }
 
-func (m *Machine) store(p Pointer, v Value) error {
+// StorePtr stores v into the cell at p with bounds checking, cost
+// charging, and conversion to the object's element type.
+func (m *Machine) StorePtr(p Pointer, v Value) error {
 	if p.IsNull() || p.Off < 0 || p.Off >= len(p.Obj.Cells) {
 		return fmt.Errorf("interp: store out of bounds (%s[%d] of %d)", objName(p.Obj), p.Off, objLen(p.Obj))
 	}
@@ -1051,8 +1056,8 @@ func (m *Machine) evalCall(f *frame, x *minic.Call) (Value, error) {
 	return m.call(fn, args)
 }
 
-// stdioHandle returns a stable opaque object for a stdio stream name.
-func (m *Machine) stdioHandle(name string) *Object {
+// Stdio returns the stable opaque handle object for a stdio stream name.
+func (m *Machine) Stdio(name string) *Object {
 	key := "\x00stdio:" + name
 	if obj, ok := m.literals[key]; ok {
 		return obj
@@ -1062,8 +1067,8 @@ func (m *Machine) stdioHandle(name string) *Object {
 	return obj
 }
 
-// internLiteral returns the shared object for a string literal.
-func (m *Machine) internLiteral(s string) *Object {
+// InternLiteral returns the shared object for a string literal.
+func (m *Machine) InternLiteral(s string) *Object {
 	if obj, ok := m.literals[s]; ok {
 		return obj
 	}

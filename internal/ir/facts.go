@@ -63,9 +63,10 @@ func AnalyzeFunc(fn *minic.FuncDecl) *Facts {
 }
 
 func (fx *Facts) constConds() {
-	walkStmts(fx.Fn.Body, func(s minic.Stmt) {
+	minic.Inspect(fx.Fn.Body, func(n minic.Node) bool {
+		s, isStmt := n.(minic.Stmt)
 		var cond minic.Expr
-		switch st := s.(type) {
+		switch st := n.(type) {
 		case *minic.If:
 			cond = st.Cond
 		case *minic.While:
@@ -73,21 +74,22 @@ func (fx *Facts) constConds() {
 		case *minic.For:
 			cond = st.Cond
 		default:
-			return
+			return isStmt
 		}
 		if cond == nil {
-			return
+			return true
 		}
 		if _, lit := litConst(cond); lit {
-			return // `while (1)` idioms are intentional
+			return true // `while (1)` idioms are intentional
 		}
 		in := fx.F.ExprInstr[cond]
 		if in == nil || in.Block == nil || !fx.S.Reachable(in.Block) {
-			return
+			return true
 		}
 		if c, ok := fx.S.ConstOf(in); ok {
 			fx.ConstConds = append(fx.ConstConds, ConstCond{Stmt: s, Cond: cond, Value: c})
 		}
+		return true
 	})
 }
 
@@ -281,34 +283,31 @@ func uniqueVN(in *Instr) string { return "q:" + strconv.Itoa(in.ID) }
 
 // oob finds constant subscripts provably outside a fixed-length array.
 func (fx *Facts) oob() {
-	walkStmts(fx.Fn.Body, func(s minic.Stmt) {
-		forEachExprIn(s, func(top minic.Expr) {
-			walkAllExprs(top, func(e minic.Expr) {
-				ix, ok := e.(*minic.Index)
-				if !ok {
-					return
-				}
-				base, ok := ix.X.(*minic.Ident)
-				if !ok || base.Sym == nil || base.Sym.Type == nil {
-					return
-				}
-				t := base.Sym.Type
-				if t.Kind != minic.TypeArray || t.Len <= 0 || t.Elem == nil || t.Elem.Kind == minic.TypeArray {
-					return // only single-dimension fixed arrays
-				}
-				in := fx.F.ExprInstr[ix.Idx]
-				if in == nil || in.Block == nil || !fx.S.Reachable(in.Block) {
-					return
-				}
-				c, ok := fx.S.ConstOf(in)
-				if !ok || c.Kind != ConstInt {
-					return
-				}
-				if c.I < 0 || c.I >= int64(t.Len) {
-					fx.OOB = append(fx.OOB, OOBAccess{Expr: ix, Name: base.Sym.Name, Index: c.I, Len: t.Len})
-				}
-			})
-		})
+	minic.Inspect(fx.Fn.Body, func(n minic.Node) bool {
+		ix, ok := n.(*minic.Index)
+		if !ok {
+			return true
+		}
+		base, ok := ix.X.(*minic.Ident)
+		if !ok || base.Sym == nil || base.Sym.Type == nil {
+			return true
+		}
+		t := base.Sym.Type
+		if t.Kind != minic.TypeArray || t.Len <= 0 || t.Elem == nil || t.Elem.Kind == minic.TypeArray {
+			return true // only single-dimension fixed arrays
+		}
+		in := fx.F.ExprInstr[ix.Idx]
+		if in == nil || in.Block == nil || !fx.S.Reachable(in.Block) {
+			return true
+		}
+		c, ok := fx.S.ConstOf(in)
+		if !ok || c.Kind != ConstInt {
+			return true
+		}
+		if c.I < 0 || c.I >= int64(t.Len) {
+			fx.OOB = append(fx.OOB, OOBAccess{Expr: ix, Name: base.Sym.Name, Index: c.I, Len: t.Len})
+		}
+		return true
 	})
 }
 
@@ -355,14 +354,15 @@ func LoopInvariantEmits(fn *minic.FuncDecl) []*minic.Call {
 		case *minic.For:
 			body = l.Body
 		}
-		walkStmts(body, func(s minic.Stmt) {
-			es, ok := s.(*minic.ExprStmt)
+		minic.Inspect(body, func(n minic.Node) bool {
+			es, ok := n.(*minic.ExprStmt)
 			if !ok {
-				return
+				_, isStmt := n.(minic.Stmt)
+				return isStmt
 			}
 			call, ok := es.X.(*minic.Call)
 			if !ok || seen[call] {
-				return
+				return false
 			}
 			var args []minic.Expr
 			switch call.Name {
@@ -375,29 +375,32 @@ func LoopInvariantEmits(fn *minic.FuncDecl) []*minic.Call {
 					skip = 2
 				}
 				if len(call.Args) <= skip {
-					return // no value arguments: constant output is idiomatic
+					return false // no value arguments: constant output is idiomatic
 				}
 				args = call.Args[skip:]
 			default:
-				return
+				return false
 			}
 			if len(args) == 0 {
-				return
+				return false
 			}
 			for _, a := range args {
 				if !invariant(a) {
-					return
+					return false
 				}
 			}
 			seen[call] = true
 			out = append(out, call)
+			return false
 		})
 	}
-	walkStmts(fn.Body, func(s minic.Stmt) {
+	minic.Inspect(fn.Body, func(n minic.Node) bool {
+		s, isStmt := n.(minic.Stmt)
 		switch s.(type) {
 		case *minic.While, *minic.For:
 			scanLoop(s)
 		}
+		return isStmt
 	})
 	return out
 }

@@ -282,8 +282,10 @@ func demotedSyms(fn *minic.FuncDecl) map[*minic.Symbol]bool {
 			expr(x.X, conditional)
 		}
 	}
-	walkStmts(fn.Body, func(s minic.Stmt) {
-		switch st := s.(type) {
+	minic.Inspect(fn.Body, func(n minic.Node) bool {
+		switch st := n.(type) {
+		case minic.Expr:
+			return false
 		case *minic.ExprStmt:
 			expr(st.X, false)
 		case *minic.DeclStmt:
@@ -300,6 +302,7 @@ func demotedSyms(fn *minic.FuncDecl) map[*minic.Symbol]bool {
 		case *minic.Return:
 			expr(st.X, false)
 		}
+		return true
 	})
 	return out
 }
@@ -655,28 +658,4 @@ var pureBuiltins = map[string]bool{
 	"pow": true, "fmin": true, "fmax": true, "abs": true,
 	"isdigit": true, "isalpha": true, "isalnum": true, "isspace": true,
 	"tolower": true, "toupper": true,
-}
-
-// walkStmts visits s and every nested statement.
-func walkStmts(s minic.Stmt, visit func(minic.Stmt)) {
-	if s == nil {
-		return
-	}
-	visit(s)
-	switch st := s.(type) {
-	case *minic.Block:
-		for _, inner := range st.Stmts {
-			walkStmts(inner, visit)
-		}
-	case *minic.If:
-		walkStmts(st.Then, visit)
-		walkStmts(st.Else, visit)
-	case *minic.While:
-		walkStmts(st.Body, visit)
-	case *minic.For:
-		walkStmts(st.Init, visit)
-		walkStmts(st.Body, visit)
-	case *minic.PragmaStmt:
-		walkStmts(st.Body, visit)
-	}
 }

@@ -242,10 +242,11 @@ func (o *optimizer) execFree(e minic.Expr) bool {
 // into them.
 func containsPragma(s minic.Stmt) bool {
 	found := false
-	walkStmts(s, func(st minic.Stmt) {
-		if _, ok := st.(*minic.PragmaStmt); ok {
-			found = true
-		}
+	minic.Inspect(s, func(n minic.Node) bool {
+		_, isPragma := n.(*minic.PragmaStmt)
+		_, isStmt := n.(minic.Stmt)
+		found = found || isPragma
+		return isStmt && !found
 	})
 	return found
 }
@@ -272,16 +273,20 @@ func (o *optimizer) foldPass() int {
 
 func (o *optimizer) simplifyBranches() int {
 	n := 0
-	walkStmts(o.fn.Body, func(s minic.Stmt) {
+	minic.Inspect(o.fn.Body, func(node minic.Node) bool {
+		s, isStmt := node.(minic.Stmt)
+		if !isStmt {
+			return false
+		}
 		set, ok := o.a.stmtSet[s]
-		if !ok || o.a.protected[s] || containsPragma(s) {
-			return
+		if !ok || o.a.protected[s] {
+			return true
 		}
 		switch st := s.(type) {
 		case *minic.If:
 			c, ok := o.condConst(st.Cond)
-			if !ok {
-				return
+			if !ok || containsPragma(s) {
+				return true
 			}
 			taken := st.Then
 			if !c.Truthy() {
@@ -303,8 +308,8 @@ func (o *optimizer) simplifyBranches() int {
 			// Only a provably-false condition simplifies: the condition is
 			// still evaluated once before the loop exits.
 			c, ok := o.condConst(st.Cond)
-			if !ok || c.Truthy() {
-				return
+			if !ok || c.Truthy() || containsPragma(s) {
+				return true
 			}
 			if o.execFree(st.Cond) {
 				set(emptyAt(st.Pos))
@@ -315,11 +320,11 @@ func (o *optimizer) simplifyBranches() int {
 			n++
 		case *minic.For:
 			if st.Cond == nil {
-				return
+				return true
 			}
 			c, ok := o.condConst(st.Cond)
-			if !ok || c.Truthy() {
-				return
+			if !ok || c.Truthy() || containsPragma(s) {
+				return true
 			}
 			// Body and post never run; init runs, then the condition is
 			// evaluated once.
@@ -340,13 +345,14 @@ func (o *optimizer) simplifyBranches() int {
 			o.st.Branches++
 			n++
 		}
+		return true
 	})
 	return n
 }
 
 func condStmt(cond minic.Expr) minic.Stmt {
 	es := &minic.ExprStmt{X: cond}
-	es.Pos = exprPos(cond)
+	es.Pos = minic.NodePos(cond)
 	return es
 }
 
@@ -354,10 +360,11 @@ func condStmt(cond minic.Expr) minic.Stmt {
 // return/break/continue inside the same block.
 func (o *optimizer) trimUnreachable() int {
 	n := 0
-	walkStmts(o.fn.Body, func(s minic.Stmt) {
-		blk, ok := s.(*minic.Block)
+	minic.Inspect(o.fn.Body, func(node minic.Node) bool {
+		blk, ok := node.(*minic.Block)
 		if !ok {
-			return
+			_, isStmt := node.(minic.Stmt)
+			return isStmt
 		}
 		for i, inner := range blk.Stmts {
 			switch inner.(type) {
@@ -366,69 +373,42 @@ func (o *optimizer) trimUnreachable() int {
 				continue
 			}
 			if i+1 >= len(blk.Stmts) {
-				return
+				return true
 			}
 			tail := blk.Stmts[i+1:]
 			for _, t := range tail {
 				if containsPragma(t) {
-					return
+					return true
 				}
 			}
 			n += len(tail)
 			o.st.Trimmed += len(tail)
 			blk.Stmts = blk.Stmts[:i+1]
-			return
+			return true
 		}
+		return true
 	})
 	return n
 }
 
 func (o *optimizer) foldConsts() int {
 	n := 0
-	var fold func(e minic.Expr)
-	fold = func(e minic.Expr) {
-		if e == nil || isLiteral(e) {
-			return
+	minic.Inspect(o.fn.Body, func(node minic.Node) bool {
+		e, isExpr := node.(minic.Expr)
+		if !isExpr || isLiteral(e) {
+			return !isExpr
 		}
 		if set, ok := o.a.exprSet[e]; ok {
 			if c, okc := o.constOfExpr(e); okc && o.execFree(e) {
 				set(literalFor(c, e))
 				o.st.Folded++
 				n++
-				return
+				return false
 			}
 		}
-		switch x := e.(type) {
-		case *minic.Unary:
-			fold(x.X)
-		case *minic.Postfix:
-			fold(x.X)
-		case *minic.Binary:
-			fold(x.L)
-			fold(x.R)
-		case *minic.Assign:
-			fold(x.L)
-			fold(x.R)
-		case *minic.Cond:
-			fold(x.C)
-			fold(x.T)
-			fold(x.F)
-		case *minic.Call:
-			if x.Name == "__sizeof_var" {
-				return
-			}
-			for _, a := range x.Args {
-				fold(a)
-			}
-		case *minic.Index:
-			fold(x.X)
-			fold(x.Idx)
-		case *minic.Cast:
-			fold(x.X)
-		}
-	}
-	walkStmts(o.fn.Body, func(s minic.Stmt) {
-		forEachExprIn(s, fold)
+		// __sizeof_var's argument names a variable; it is not a value.
+		call, isCall := e.(*minic.Call)
+		return !isCall || call.Name != "__sizeof_var"
 	})
 	return n
 }
@@ -437,21 +417,26 @@ func (o *optimizer) foldConsts() int {
 // effect (typically left behind by folding).
 func (o *optimizer) cleanupPureStmts() int {
 	n := 0
-	walkStmts(o.fn.Body, func(s minic.Stmt) {
+	minic.Inspect(o.fn.Body, func(node minic.Node) bool {
+		s, isStmt := node.(minic.Stmt)
+		if !isStmt {
+			return false
+		}
 		es, ok := s.(*minic.ExprStmt)
 		if !ok || o.a.protected[s] {
-			return
+			return true
 		}
 		set, ok := o.a.stmtSet[s]
 		if !ok {
-			return
+			return true
 		}
 		if !o.execFree(es.X) {
-			return
+			return true
 		}
 		set(emptyAt(es.Pos))
 		o.st.Trimmed++
 		n++
+		return true
 	})
 	return n
 }
@@ -621,7 +606,7 @@ func (o *optimizer) dsePass() int {
 		switch c.in.StoreKind {
 		case StoreAssign:
 			if c.full {
-				o.a.stmtSet[c.in.Stmt](emptyAt(stmtPos(c.in.Stmt)))
+				o.a.stmtSet[c.in.Stmt](emptyAt(minic.NodePos(c.in.Stmt)))
 			} else {
 				// Keep the rhs for its effects; drop only the store.
 				o.a.exprSet[c.in.Assign](c.in.Assign.R)
@@ -854,7 +839,7 @@ func (o *optimizer) applyInserts(pending []pendingInsert) {
 			continue
 		}
 		wrap := &minic.Block{Stmts: []minic.Stmt{p.decl, p.anchor}}
-		wrap.Pos = stmtPos(p.anchor)
+		wrap.Pos = minic.NodePos(p.anchor)
 		set(wrap)
 		wraps[p.anchor] = wrap
 	}
@@ -939,16 +924,18 @@ func (o *optimizer) csePass() int {
 		}
 	}
 
-	dirty := map[minic.Expr]bool{}
+	dirty := map[minic.Node]bool{}
 	markDirty := func(e minic.Expr) {
-		walkAllExprs(e, func(x minic.Expr) { dirty[x] = true })
+		minic.Inspect(e, func(x minic.Node) bool {
+			dirty[x] = true
+			return true
+		})
 	}
 	isDirty := func(e minic.Expr) bool {
 		found := false
-		walkAllExprs(e, func(x minic.Expr) {
-			if dirty[x] {
-				found = true
-			}
+		minic.Inspect(e, func(x minic.Node) bool {
+			found = found || dirty[x]
+			return !found
 		})
 		return found
 	}
@@ -1063,14 +1050,14 @@ func (o *optimizer) csePass() int {
 			continue
 		}
 		ty := tempType(kind)
-		pos := exprPos(lead.Expr)
+		pos := minic.NodePos(lead.Expr)
 		sym, decl := o.newTempDecl("cse", ty, lead.Expr, pos)
 		pending = append(pending, pendingInsert{anchor: lead.Stmt, decl: decl})
 		markDirty(lead.Expr)
 		o.a.exprSet[lead.Expr](identRead(sym, lead.Expr.Type(), pos))
 		for _, t := range targets {
 			markDirty(t.Expr)
-			id := identRead(sym, t.Expr.Type(), exprPos(t.Expr))
+			id := identRead(sym, t.Expr.Type(), minic.NodePos(t.Expr))
 			dirty[id] = true
 			o.a.exprSet[t.Expr](id)
 		}
@@ -1088,13 +1075,15 @@ func (o *optimizer) licmPass() int {
 	demoted := demotedSyms(o.fn)
 
 	var loops []minic.Stmt
-	walkStmts(o.fn.Body, func(s minic.Stmt) {
+	minic.Inspect(o.fn.Body, func(n minic.Node) bool {
+		s, isStmt := n.(minic.Stmt)
 		switch s.(type) {
 		case *minic.While, *minic.For:
 			if _, ok := o.a.stmtSet[s]; ok {
 				loops = append(loops, s)
 			}
 		}
+		return isStmt
 	})
 
 	var pending []pendingInsert
@@ -1117,28 +1106,24 @@ func assignedSyms(loop minic.Stmt) map[*minic.Symbol]bool {
 			out[id.Sym] = true
 		}
 	}
-	walkStmts(loop, func(s minic.Stmt) {
-		if ds, ok := s.(*minic.DeclStmt); ok {
-			for _, d := range ds.Decls {
+	minic.Inspect(loop, func(n minic.Node) bool {
+		switch x := n.(type) {
+		case *minic.DeclStmt:
+			for _, d := range x.Decls {
 				if d.Sym != nil {
 					out[d.Sym] = true
 				}
 			}
+		case *minic.Assign:
+			record(x.L)
+		case *minic.Unary:
+			if x.Op == "++" || x.Op == "--" {
+				record(x.X)
+			}
+		case *minic.Postfix:
+			record(x.X)
 		}
-		forEachExprIn(s, func(top minic.Expr) {
-			walkAllExprs(top, func(e minic.Expr) {
-				switch x := e.(type) {
-				case *minic.Assign:
-					record(x.L)
-				case *minic.Unary:
-					if x.Op == "++" || x.Op == "--" {
-						record(x.X)
-					}
-				case *minic.Postfix:
-					record(x.X)
-				}
-			})
-		})
+		return true
 	})
 	return out
 }
@@ -1253,7 +1238,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 
 	weight := func(e minic.Expr) bool {
 		ops, call, nodes := 0, false, 0
-		walkAllExprs(e, func(x minic.Expr) {
+		minic.Inspect(e, func(x minic.Node) bool {
 			nodes++
 			switch x.(type) {
 			case *minic.Unary, *minic.Binary, *minic.Cast:
@@ -1261,6 +1246,7 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 			case *minic.Call:
 				call = true
 			}
+			return true
 		})
 		return call || (ops >= 1 && nodes >= 3)
 	}
@@ -1271,87 +1257,44 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 	}
 	groups := map[string]*group{}
 	var order []string
-	var scanExpr func(e minic.Expr)
-	scanExpr = func(e minic.Expr) {
-		if e == nil || isLiteral(e) {
-			return
-		}
-		if _, ok := o.a.exprSet[e]; ok && invariant(e) && weight(e) {
-			if _, certain := kindCertain(e); certain {
-				k := exprKey(e)
-				g := groups[k]
-				if g == nil {
-					g = &group{}
-					groups[k] = g
-					order = append(order, k)
-				}
-				g.exprs = append(g.exprs, e)
-				return
-			}
-		}
-		switch x := e.(type) {
-		case *minic.Unary:
-			scanExpr(x.X)
-		case *minic.Postfix:
-			scanExpr(x.X)
-		case *minic.Binary:
-			scanExpr(x.L)
-			scanExpr(x.R)
-		case *minic.Assign:
-			scanExpr(x.L)
-			scanExpr(x.R)
-		case *minic.Cond:
-			scanExpr(x.C)
-			scanExpr(x.T)
-			scanExpr(x.F)
-		case *minic.Call:
-			if x.Name != "__sizeof_var" {
-				for _, a := range x.Args {
-					scanExpr(a)
-				}
-			}
-		case *minic.Index:
-			scanExpr(x.X)
-			scanExpr(x.Idx)
-		case *minic.Cast:
-			scanExpr(x.X)
-		}
-	}
-	var scanStmt func(s minic.Stmt)
-	scanStmt = func(s minic.Stmt) {
-		switch st := s.(type) {
-		case nil:
+	// scan visits the loop's condition, post and body in source order,
+	// grouping each maximal invariant subexpression. It never hoists
+	// across a region boundary: the kernel executes only the region,
+	// where an outside temp would be unbound.
+	scan := func(n minic.Node) bool {
+		switch e := n.(type) {
 		case *minic.PragmaStmt:
-			// Never hoist across a region boundary: the kernel executes
-			// only the region, where an outside temp would be unbound.
-		case *minic.Block:
-			for _, inner := range st.Stmts {
-				scanStmt(inner)
+			return false
+		case minic.Expr:
+			if isLiteral(e) {
+				return false
 			}
-		case *minic.If:
-			scanExpr(st.Cond)
-			scanStmt(st.Then)
-			scanStmt(st.Else)
-		case *minic.While:
-			scanExpr(st.Cond)
-			scanStmt(st.Body)
-		case *minic.For:
-			scanStmt(st.Init)
-			scanExpr(st.Cond)
-			scanExpr(st.Post)
-			scanStmt(st.Body)
-		default:
-			forEachExprIn(s, scanExpr)
+			if _, ok := o.a.exprSet[e]; ok && invariant(e) && weight(e) {
+				if _, certain := kindCertain(e); certain {
+					k := exprKey(e)
+					g := groups[k]
+					if g == nil {
+						g = &group{}
+						groups[k] = g
+						order = append(order, k)
+					}
+					g.exprs = append(g.exprs, e)
+					return false
+				}
+			}
+			call, isCall := e.(*minic.Call)
+			return !isCall || call.Name != "__sizeof_var"
 		}
+		return true
 	}
 	switch l := loop.(type) {
 	case *minic.While:
-		scanExpr(l.Cond)
-		scanStmt(l.Body)
+		minic.Inspect(l.Cond, scan)
+		minic.Inspect(l.Body, scan)
 	case *minic.For:
-		scanExpr(l.Cond)
-		scanExpr(l.Post)
-		scanStmt(l.Body)
+		minic.Inspect(l.Cond, scan)
+		minic.Inspect(l.Post, scan)
+		minic.Inspect(l.Body, scan)
 	}
 
 	n := 0
@@ -1360,11 +1303,11 @@ func (o *optimizer) licmLoop(loop minic.Stmt, demoted map[*minic.Symbol]bool, pe
 		first := g.exprs[0]
 		kind, _ := kindCertain(first)
 		ty := tempType(kind)
-		pos := stmtPos(loop)
+		pos := minic.NodePos(loop)
 		sym, decl := o.newTempDecl("licm", ty, cloneExpr(first), pos)
 		*pending = append(*pending, pendingInsert{anchor: loop, decl: decl})
 		for _, e := range g.exprs {
-			o.a.exprSet[e](identRead(sym, e.Type(), exprPos(e)))
+			o.a.exprSet[e](identRead(sym, e.Type(), minic.NodePos(e)))
 		}
 		o.st.LICM++
 		n++

@@ -200,73 +200,9 @@ func (a *astInfo) insertBefore(s minic.Stmt, decl minic.Stmt) bool {
 		return false
 	}
 	wrap := &minic.Block{Stmts: []minic.Stmt{decl, s}}
-	wrap.Pos = stmtPos(s)
+	wrap.Pos = minic.NodePos(s)
 	set(wrap)
 	return true
-}
-
-// stmtPos extracts a statement's source position.
-func stmtPos(s minic.Stmt) minic.Pos {
-	switch st := s.(type) {
-	case *minic.Block:
-		return st.Pos
-	case *minic.If:
-		return st.Pos
-	case *minic.While:
-		return st.Pos
-	case *minic.For:
-		return st.Pos
-	case *minic.Return:
-		return st.Pos
-	case *minic.Break:
-		return st.Pos
-	case *minic.Continue:
-		return st.Pos
-	case *minic.ExprStmt:
-		return st.Pos
-	case *minic.DeclStmt:
-		return st.Pos
-	case *minic.EmptyStmt:
-		return st.Pos
-	case *minic.PragmaStmt:
-		return st.Pos
-	}
-	return minic.Pos{}
-}
-
-// exprPos extracts an expression's source position.
-func exprPos(e minic.Expr) minic.Pos {
-	switch x := e.(type) {
-	case *minic.IntLit:
-		return x.Pos
-	case *minic.FloatLit:
-		return x.Pos
-	case *minic.CharLit:
-		return x.Pos
-	case *minic.StrLit:
-		return x.Pos
-	case *minic.Ident:
-		return x.Pos
-	case *minic.Unary:
-		return x.Pos
-	case *minic.Postfix:
-		return x.Pos
-	case *minic.Binary:
-		return x.Pos
-	case *minic.Assign:
-		return x.Pos
-	case *minic.Cond:
-		return x.Pos
-	case *minic.Call:
-		return x.Pos
-	case *minic.Index:
-		return x.Pos
-	case *minic.Cast:
-		return x.Pos
-	case *minic.SizeofType:
-		return x.Pos
-	}
-	return minic.Pos{}
 }
 
 // literalFor builds the AST literal for a constant, preserving the
@@ -274,12 +210,12 @@ func exprPos(e minic.Expr) minic.Pos {
 func literalFor(c Const, orig minic.Expr) minic.Expr {
 	if c.Kind == ConstFloat {
 		l := &minic.FloatLit{Value: c.F}
-		l.Pos = exprPos(orig)
+		l.Pos = minic.NodePos(orig)
 		l.SetType(orig.Type())
 		return l
 	}
 	l := &minic.IntLit{Value: c.I}
-	l.Pos = exprPos(orig)
+	l.Pos = minic.NodePos(orig)
 	l.SetType(orig.Type())
 	return l
 }
@@ -297,97 +233,13 @@ func isLiteral(e minic.Expr) bool {
 // interpreter's cost model charges per visited node.
 func CountNodes(prog *minic.Program) int {
 	n := 0
-	count := func(fn *minic.FuncDecl) {
-		walkStmts(fn.Body, func(s minic.Stmt) {
-			n++
-			forEachExprIn(s, func(e minic.Expr) {
-				walkAllExprs(e, func(minic.Expr) { n++ })
-			})
-		})
-	}
 	for _, fn := range prog.Funcs {
-		count(fn)
-	}
-	return n
-}
-
-func countStmtNodes(s minic.Stmt) int {
-	n := 0
-	walkStmts(s, func(st minic.Stmt) {
-		n++
-		forEachExprIn(st, func(e minic.Expr) {
-			walkAllExprs(e, func(minic.Expr) { n++ })
+		minic.Inspect(fn.Body, func(minic.Node) bool {
+			n++
+			return true
 		})
-	})
+	}
 	return n
-}
-
-func countExprNodes(e minic.Expr) int {
-	n := 0
-	walkAllExprs(e, func(minic.Expr) { n++ })
-	return n
-}
-
-// forEachExprIn visits the top-level expressions attached directly to s.
-func forEachExprIn(s minic.Stmt, visit func(minic.Expr)) {
-	switch st := s.(type) {
-	case *minic.ExprStmt:
-		visit(st.X)
-	case *minic.DeclStmt:
-		for _, d := range st.Decls {
-			if d.Init != nil {
-				visit(d.Init)
-			}
-		}
-	case *minic.If:
-		visit(st.Cond)
-	case *minic.While:
-		visit(st.Cond)
-	case *minic.For:
-		if st.Cond != nil {
-			visit(st.Cond)
-		}
-		if st.Post != nil {
-			visit(st.Post)
-		}
-	case *minic.Return:
-		if st.X != nil {
-			visit(st.X)
-		}
-	}
-}
-
-// walkAllExprs visits e and all nested expressions.
-func walkAllExprs(e minic.Expr, visit func(minic.Expr)) {
-	if e == nil {
-		return
-	}
-	visit(e)
-	switch x := e.(type) {
-	case *minic.Unary:
-		walkAllExprs(x.X, visit)
-	case *minic.Postfix:
-		walkAllExprs(x.X, visit)
-	case *minic.Binary:
-		walkAllExprs(x.L, visit)
-		walkAllExprs(x.R, visit)
-	case *minic.Assign:
-		walkAllExprs(x.L, visit)
-		walkAllExprs(x.R, visit)
-	case *minic.Cond:
-		walkAllExprs(x.C, visit)
-		walkAllExprs(x.T, visit)
-		walkAllExprs(x.F, visit)
-	case *minic.Call:
-		for _, a := range x.Args {
-			walkAllExprs(a, visit)
-		}
-	case *minic.Index:
-		walkAllExprs(x.X, visit)
-		walkAllExprs(x.Idx, visit)
-	case *minic.Cast:
-		walkAllExprs(x.X, visit)
-	}
 }
 
 // exprKey renders a structural key for an expression, used to deduplicate

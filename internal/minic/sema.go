@@ -426,34 +426,3 @@ func ParseAndCheckFile(file, src string) (*Program, error) {
 	}
 	return prog, nil
 }
-
-// FindPragmas walks the program and returns every PragmaStmt, in source
-// order, together with the function containing it.
-func FindPragmas(prog *Program) []*PragmaStmt {
-	var out []*PragmaStmt
-	var walkStmt func(Stmt)
-	walkStmt = func(s Stmt) {
-		switch st := s.(type) {
-		case *PragmaStmt:
-			out = append(out, st)
-			walkStmt(st.Body)
-		case *Block:
-			for _, inner := range st.Stmts {
-				walkStmt(inner)
-			}
-		case *If:
-			walkStmt(st.Then)
-			if st.Else != nil {
-				walkStmt(st.Else)
-			}
-		case *While:
-			walkStmt(st.Body)
-		case *For:
-			walkStmt(st.Body)
-		}
-	}
-	for _, f := range prog.Funcs {
-		walkStmt(f.Body)
-	}
-	return out
-}
